@@ -46,7 +46,8 @@ use nds_cluster::job::JobRunner;
 use nds_cluster::owner::OwnerWorkload;
 use nds_sched::{
     EvictionPolicy, FailureModel, FlightRecorder, GangPolicy, GangStats, JobRecord, JobSpec,
-    PlacementKind, ProgressMeter, QueueDiscipline, RecordFilter, SchedConfig, SchedMetrics, Tee,
+    NoTrace, PlacementKind, ProgressMeter, QueueDiscipline, RecordFilter, SchedConfig,
+    SchedMetrics, SchedTracer, Tee,
 };
 use nds_stats::batch_means::{PAPER_BATCHES, PAPER_CONFIDENCE};
 
@@ -327,22 +328,29 @@ impl Sim {
     /// only, the post-warmup response times collected at the sink (the
     /// streamed engine does not materialize `metrics.jobs`).
     fn run_one(&self, replication: u64) -> Result<(SchedMetrics, Option<Vec<f64>>), SimError> {
-        if self.stream_chunk > 0 {
-            return self
-                .run_one_streamed(replication)
-                .map(|(metrics, responses)| (metrics, Some(responses)));
-        }
-        self.run_one_materialized(replication)
-            .map(|metrics| (metrics, None))
-    }
-
-    /// One replication through the streaming job feed: the workload's
-    /// [`Workload::feed`] is pulled in `stream_chunk`-sized batches and
-    /// completed jobs are retired as soon as they finish, so peak
-    /// memory is O(chunk + pool), independent of the job count.
-    fn run_one_streamed(&self, replication: u64) -> Result<(SchedMetrics, Vec<f64>), SimError> {
-        let cfg = self.lower_with_jobs(Vec::new(), replication);
-        let mut feed = self.workload.feed(self.seed, replication)?;
+        let cfg = if self.stream_chunk > 0 {
+            self.lower_with_jobs(Vec::new(), replication)
+        } else {
+            let jobs = self.workload.generate(self.seed, replication)?;
+            let degenerate = self.is_degenerate(&jobs);
+            match self.backend {
+                Backend::Cluster if !degenerate => {
+                    return Err(SimError::UnsupportedBackend {
+                        backend: "cluster",
+                        reason: "the closed-form runner serves only the degenerate \
+                                 configuration (homogeneous pool, one closed job with \
+                                 one task per station, suspend-resume eviction, no gang \
+                                 policy, no failure model, admission threshold >= 1)"
+                            .into(),
+                    })
+                }
+                Backend::Cluster => return Ok((self.run_cluster(&jobs, replication), None)),
+                Backend::Auto if degenerate => {
+                    return Ok((self.run_cluster(&jobs, replication), None))
+                }
+                Backend::Auto | Backend::Sched => self.lower_with_jobs(jobs, replication),
+            }
+        };
         let warmup = self.workload.warmup_jobs();
         let mut responses = Vec::new();
         let mut sink = |job: usize, record: JobRecord| {
@@ -350,42 +358,42 @@ impl Sim {
                 responses.push(record.response_time());
             }
         };
-        let (metrics, _events) = cfg.run_streamed(feed.as_mut(), self.stream_chunk, &mut sink)?;
-        Ok((metrics, responses))
+        let (metrics, _events) = match self.progress_every {
+            // The meter is ENABLED, so the engine takes the traced path —
+            // metrics stay bit-identical to the untraced run (pinned by
+            // the trace invariants).
+            Some(every) => {
+                let mut meter = self.meter(every, replication, &cfg.jobs);
+                self.run_engine(&cfg, &mut sink, &mut meter)?
+            }
+            None => self.run_engine(&cfg, &mut sink, &mut NoTrace)?,
+        };
+        Ok((metrics, (self.stream_chunk > 0).then_some(responses)))
     }
 
-    fn run_one_materialized(&self, replication: u64) -> Result<SchedMetrics, SimError> {
-        let jobs = self.workload.generate(self.seed, replication)?;
-        let degenerate = self.is_degenerate(&jobs);
-        match self.backend {
-            Backend::Cluster if !degenerate => Err(SimError::UnsupportedBackend {
-                backend: "cluster",
-                reason: "the closed-form runner serves only the degenerate \
-                         configuration (homogeneous pool, one closed job with \
-                         one task per station, suspend-resume eviction, no gang \
-                         policy, no failure model, admission threshold >= 1)"
-                    .into(),
-            }),
-            Backend::Cluster => Ok(self.run_cluster(&jobs, replication)),
-            Backend::Auto if degenerate => Ok(self.run_cluster(&jobs, replication)),
-            Backend::Auto | Backend::Sched => {
-                let cfg = self.lower(replication)?;
-                if let Some(every) = self.progress_every {
-                    // The meter is ENABLED, so the engine takes the
-                    // traced path — metrics stay bit-identical to the
-                    // untraced run (pinned by the trace invariants).
-                    let mut meter = self.meter(every, replication, &cfg.jobs);
-                    Ok(cfg.run_traced(&mut meter)?.0)
-                } else {
-                    Ok(cfg.run()?)
-                }
-            }
+    /// Run `cfg` on the scheduler engine under `tracer`. With
+    /// [`SimBuilder::stream_chunk`] set, the workload's feed is pulled
+    /// in `stream_chunk`-sized batches and each completed job's record
+    /// goes to `on_job` instead of `metrics.jobs`, so peak memory is
+    /// O(chunk + pool), independent of the job count.
+    fn run_engine<T: SchedTracer>(
+        &self,
+        cfg: &SchedConfig,
+        on_job: &mut dyn FnMut(usize, JobRecord),
+        tracer: &mut T,
+    ) -> Result<(SchedMetrics, u64), SimError> {
+        if self.stream_chunk == 0 {
+            return Ok(cfg.run_traced(tracer)?);
         }
+        let mut feed = self.workload.feed(self.seed, cfg.replication)?;
+        Ok(cfg.run_streamed_traced(feed.as_mut(), self.stream_chunk, on_job, tracer)?)
     }
 
     /// A progress heartbeat for one replication, with the workload's
     /// last scheduled arrival as the sim-time horizon (a lower bound
     /// on the makespan — 100% means all jobs are in, drain follows).
+    /// Streamed runs pass no jobs: their horizon is unknown up front,
+    /// so their beats carry no percentage or ETA.
     fn meter(&self, every: f64, replication: u64, jobs: &[JobSpec]) -> ProgressMeter {
         let horizon = jobs.iter().map(|j| j.arrival).fold(0.0, f64::max);
         ProgressMeter::new(every)
@@ -456,13 +464,21 @@ impl Sim {
     /// cluster runner has no event loop to observe — so a degenerate
     /// configuration's traced metrics still match its untraced run
     /// bit-for-bit (by the workspace's degenerate-equivalence
-    /// invariant). Like [`Sim::run`], replications shard across scoped
-    /// threads when [`SimBuilder::shards`] exceeds one; the recorder
-    /// only ever observes simulation state, so the traces are
-    /// byte-identical to the serial path's.
+    /// invariant). With [`SimBuilder::stream_chunk`] set the traced
+    /// run streams too, in bounded job memory: its exports are
+    /// byte-identical to the materialized trace of the same jobs, and
+    /// only `metrics.jobs` stays empty. Like [`Sim::run`], replications
+    /// shard across scoped threads when [`SimBuilder::shards`] exceeds
+    /// one; the recorder only ever observes simulation state, so the
+    /// traces are byte-identical to the serial path's.
     pub fn run_flight(&self) -> Result<Vec<Flight>, SimError> {
         let trace_one = |&replication: &u64| -> Result<Flight, SimError> {
-            let cfg = self.lower(replication)?;
+            // Streamed runs pull the workload's feed, not `cfg.jobs`.
+            let cfg = if self.stream_chunk > 0 {
+                self.lower_with_jobs(Vec::new(), replication)
+            } else {
+                self.lower(replication)?
+            };
             let machines = self.workstations as usize;
             let mut recorder = if self.trace_cheap {
                 FlightRecorder::cheap(machines, self.metrics_every)
@@ -478,11 +494,11 @@ impl Sim {
             let (metrics, events) = if let Some(every) = self.progress_every {
                 let meter = self.meter(every, replication, &cfg.jobs);
                 let mut tee = Tee(recorder, meter);
-                let out = cfg.run_traced(&mut tee)?;
+                let out = self.run_engine(&cfg, &mut |_, _| {}, &mut tee)?;
                 recorder = tee.0;
                 out
             } else {
-                cfg.run_traced(&mut recorder)?
+                self.run_engine(&cfg, &mut |_, _| {}, &mut recorder)?
             };
             recorder.finish(metrics.makespan);
             Ok(Flight {
@@ -739,8 +755,10 @@ impl SimBuilder {
     /// records through the internal sink, so `Report::runs[..].jobs`
     /// stays empty (response statistics and steady state are
     /// unaffected). Streaming requires the scheduler engine and is
-    /// incompatible with gang policies and the progress heartbeat;
-    /// [`Sim::run_flight`] ignores it and materializes.
+    /// incompatible with gang policies. It combines with
+    /// [`SimBuilder::progress`] (beats then carry no horizon
+    /// percentage, since the last arrival is not known up front) and
+    /// with [`Sim::run_flight`], which streams as well.
     #[must_use]
     pub fn stream_chunk(mut self, chunk: usize) -> Self {
         self.stream_chunk = chunk;
@@ -869,14 +887,6 @@ impl SimBuilder {
                     field: "gang",
                     reason: "gang scheduling needs the whole job set resident and \
                              cannot combine with .stream_chunk(...)"
-                        .into(),
-                });
-            }
-            if self.progress_every.is_some() {
-                return Err(SimError::InvalidPool {
-                    field: "progress",
-                    reason: "the progress heartbeat needs a materialized run; drop \
-                             .progress(...) or .stream_chunk(...)"
                         .into(),
                 });
             }
@@ -1328,7 +1338,7 @@ mod tests {
 
     #[test]
     fn streamed_runs_match_materialized_reports() {
-        let build = |chunk: usize| {
+        let build = |chunk: usize, progress: bool| {
             let mut b = Sim::pool(8)
                 .owners(owner(0.08))
                 .workload(poisson(0.02, JobShape::new(2, 30.0)).jobs(120).warmup(20))
@@ -1338,11 +1348,28 @@ mod tests {
             if chunk > 0 {
                 b = b.stream_chunk(chunk);
             }
+            if progress {
+                // An hour-long beat period: the heartbeat never prints.
+                b = b.progress(3600.0);
+            }
             b.run().unwrap()
         };
-        let materialized = build(0);
+        // `Debug` round-trips every float, so equal strings are
+        // byte-identical reports.
+        let bytes = |report: &Report| format!("{report:?}");
+        let materialized = build(0, false);
+        assert_eq!(
+            bytes(&materialized),
+            bytes(&build(0, true)),
+            "the heartbeat only observes"
+        );
         for chunk in [1, 7, 1000] {
-            let streamed = build(chunk);
+            let streamed = build(chunk, false);
+            assert_eq!(
+                bytes(&streamed),
+                bytes(&build(chunk, true)),
+                "chunk {chunk} with heartbeat"
+            );
             assert_eq!(materialized.response, streamed.response, "chunk {chunk}");
             assert_eq!(materialized.steady_state, streamed.steady_state);
             for (m, s) in materialized.runs.iter().zip(&streamed.runs) {
@@ -1389,14 +1416,6 @@ mod tests {
         };
         let err = base().gang(GangPolicy::SuspendAll).build().unwrap_err();
         assert!(matches!(err, SimError::InvalidPolicy { field: "gang", .. }));
-        let err = base().progress(1.0).build().unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::InvalidPool {
-                field: "progress",
-                ..
-            }
-        ));
         let err = base().backend(Backend::Cluster).build().unwrap_err();
         assert!(matches!(err, SimError::UnsupportedBackend { .. }));
         // The compatible configuration builds and runs.

@@ -230,6 +230,15 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         self.live
     }
 
+    /// Number of pending events outside the pre-sorted backlog
+    /// ([`Calendar::schedule_sorted`]): the live event horizon. Unlike
+    /// [`Calendar::pending`], this does not depend on how far ahead a
+    /// sorted stream was handed to the calendar.
+    pub fn pending_horizon(&self) -> usize {
+        // Backlog events cannot be cancelled, so every one is live.
+        self.live - self.backlog.len()
+    }
+
     /// Whether no event is pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
@@ -545,6 +554,26 @@ mod tests {
         assert!(!cal.is_empty());
         cal.pop();
         assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn pending_horizon_excludes_the_backlog() {
+        let mut cal = Calendar::new();
+        let a = cal.schedule(SimTime::new(1.5), Tag(0)).unwrap();
+        cal.post(SimTime::new(4.0), Tag(1)).unwrap();
+        cal.schedule_sorted((0..3).map(|i| (SimTime::new(f64::from(i)), Tag(10 + i))))
+            .unwrap();
+        assert_eq!((cal.pending(), cal.pending_horizon()), (5, 2));
+        cal.cancel(a);
+        assert_eq!((cal.pending(), cal.pending_horizon()), (4, 1));
+        // Backlog pops shrink only the total; heap pops shrink both.
+        assert_eq!(cal.pop(), Some((SimTime::new(0.0), Tag(10))));
+        assert_eq!((cal.pending(), cal.pending_horizon()), (3, 1));
+        cal.pop();
+        cal.pop();
+        assert_eq!((cal.pending(), cal.pending_horizon()), (1, 1));
+        assert_eq!(cal.pop(), Some((SimTime::new(4.0), Tag(1))));
+        assert_eq!((cal.pending(), cal.pending_horizon()), (0, 0));
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! the chunk size and the live job window — not the experiment length.
 //! A million-job trace streams through a few thousand resident specs.
 //!
-//! The materialized path stays the degenerate case: [`VecFeed`] and
+//! The materialized path is a one-chunk [`SliceFeed`] run:
+//! [`SchedConfig::run`](crate::SchedConfig::run) feeds its whole job
+//! list through the same event loop as one chunk. [`VecFeed`] and
 //! [`SliceFeed`] wrap an in-memory job list, and a streamed run over
-//! them replays the classic [`SchedConfig::run`](crate::SchedConfig)
-//! event-for-event (same per-event RNG draws, same sequence numbering
-//! of arrivals *within* the live window), which is what the workspace's
-//! streaming byte-identity tests pin.
+//! them at any chunk size replays the materialized run event for event
+//! (same per-event RNG draws, same sequence numbering of arrivals
+//! *within* the live window), which is what the workspace's streaming
+//! byte-identity tests pin.
 //!
 //! # Contract
 //!

@@ -126,6 +126,7 @@ pub use failure::{FailureModel, Lifetime};
 pub use feed::{JobFeed, SliceFeed, VecFeed};
 pub use gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 pub use metrics::{JobRecord, SchedMetrics};
+pub use nds_des::NoTrace;
 pub use policy::{CandidateMachine, PlacementKind, PlacementPolicy};
 pub use pool::{Pool, UtilizationEstimator};
 pub use queue::{JobQueue, JobSpec, PendingTask, QueueDiscipline};

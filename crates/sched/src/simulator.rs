@@ -18,6 +18,18 @@
 //!   or starts the next segment. Gang runs use their own job-level
 //!   segment-end event.
 //!
+//! # One event loop
+//!
+//! Every run goes through one loop, fed by a [`JobFeed`] and generic
+//! over a [`SchedTracer`]. A materialized run ([`SchedConfig::run`] and
+//! its variants) is a one-chunk [`crate::feed::SliceFeed`] of its job
+//! list whose completed records are collected into
+//! [`SchedMetrics::jobs`]; a streamed run ([`SchedConfig::run_streamed`],
+//! [`SchedConfig::run_streamed_traced`]) pulls chunks as its arrivals
+//! fire and hands each record to the caller's sink. Arrivals draw their
+//! calendar sequence numbers in submission order either way, so a
+//! tracer sees the same run at any chunk size.
+//!
 //! # The zero-allocation hot path
 //!
 //! Until PR 5 every event was a `Box<dyn FnOnce>` closure over an
@@ -88,7 +100,7 @@
 use crate::error::SchedError;
 use crate::eviction::{on_eviction, EvictionPolicy};
 use crate::failure::FailureModel;
-use crate::feed::JobFeed;
+use crate::feed::{JobFeed, SliceFeed};
 use crate::gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 use crate::metrics::{JobRecord, SchedMetrics};
 use crate::policy::{
@@ -316,10 +328,83 @@ impl SchedConfig {
         self.run_validated(self.replication, tracer)
     }
 
-    /// One replication on an already-validated config.
+    /// One replication on an already-validated config: the job list
+    /// runs as a one-chunk [`SliceFeed`], and the records the loop
+    /// retires in submission order become `metrics.jobs`.
     fn run_validated<T: SchedTracer>(
         &self,
         replication: u64,
+        tracer: &mut T,
+    ) -> Result<(SchedMetrics, u64), SchedError> {
+        let mut records = Vec::with_capacity(self.jobs.len());
+        let (mut metrics, events) = self.run_feed(
+            replication,
+            &mut SliceFeed::new(&self.jobs),
+            ChunkFeeder::closed(self.jobs.len()),
+            &mut |_, record| records.push(record),
+            tracer,
+        )?;
+        metrics.jobs = records;
+        Ok((metrics, events))
+    }
+
+    /// Run one replication with jobs pulled from a [`JobFeed`] in
+    /// chunks of at most `chunk`, instead of from `self.jobs` (which
+    /// this path ignores). Completed jobs leave the engine through
+    /// `on_job` — called with each job's absolute submission index and
+    /// final [`JobRecord`], in submission order — so the returned
+    /// [`SchedMetrics`] carries an empty `jobs` list and peak memory
+    /// is bounded by the chunk size plus the live job window, not the
+    /// trace length.
+    ///
+    /// Arrivals must be globally non-decreasing across the whole feed;
+    /// a violation surfaces as a typed [`SchedError::InvalidConfig`]
+    /// naming the offending job index. Gang scheduling is rejected up
+    /// front (see [`SchedConfig::validate_streamed`]). This is the
+    /// untraced [`SchedConfig::run_streamed_traced`]; both run the
+    /// event loop a materialized run uses, so over the same job list
+    /// they replay [`SchedConfig::run_counted`]'s event sequence
+    /// exactly — same RNG draws, same metrics — which the workspace's
+    /// streaming byte-identity tests pin.
+    pub fn run_streamed(
+        &self,
+        feed: &mut dyn JobFeed,
+        chunk: usize,
+        on_job: &mut dyn FnMut(usize, JobRecord),
+    ) -> Result<(SchedMetrics, u64), SchedError> {
+        self.run_streamed_traced(feed, chunk, on_job, &mut NoTrace)
+    }
+
+    /// [`SchedConfig::run_streamed`] observed by a [`SchedTracer`]: the
+    /// streamed counterpart of [`SchedConfig::run_traced`], so a
+    /// million-job trace can carry a progress heartbeat or a flight
+    /// recorder. Over the same jobs, the tracer sees exactly what it
+    /// sees under `run_traced`, whatever the chunk size.
+    pub fn run_streamed_traced<T: SchedTracer>(
+        &self,
+        feed: &mut dyn JobFeed,
+        chunk: usize,
+        on_job: &mut dyn FnMut(usize, JobRecord),
+        tracer: &mut T,
+    ) -> Result<(SchedMetrics, u64), SchedError> {
+        self.validate_streamed(chunk)?;
+        self.run_feed(
+            self.replication,
+            feed,
+            ChunkFeeder::new(chunk),
+            on_job,
+            tracer,
+        )
+    }
+
+    /// The event loop: one replication with jobs admitted from `feed`
+    /// by `feeder` and completed records retired through `on_job`.
+    fn run_feed<T: SchedTracer>(
+        &self,
+        replication: u64,
+        feed: &mut dyn JobFeed,
+        mut feeder: ChunkFeeder,
+        on_job: &mut dyn FnMut(usize, JobRecord),
         tracer: &mut T,
     ) -> Result<(SchedMetrics, u64), SchedError> {
         let factory = StreamFactory::new(self.seed);
@@ -354,30 +439,6 @@ impl SchedConfig {
             })
             .collect();
 
-        let jobs: Vec<JobState> = self.jobs.iter().map(JobState::of_spec).collect();
-        let jobs_remaining = jobs.len();
-        let jobs = JobTable::from_states(jobs);
-        let failure_rngs = failure_streams(&factory, self.failures.is_some(), w, replication);
-
-        let gangs: Vec<GangState> = if self.gang.is_on() {
-            self.jobs
-                .iter()
-                .map(|spec| GangState {
-                    members: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-                    member_running: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-                    member_busy: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-                    demand: spec.task_demand,
-                    remaining: spec.task_demand,
-                    setup_left: 0.0,
-                    width: spec.tasks,
-                    floor: self.gang.floor_for(spec.tasks),
-                    phase: GangPhase::Queued,
-                })
-                .collect()
-        } else {
-            Vec::new() // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-        };
-
         let mut sim = Sim {
             machines,
             pool: Pool::new(
@@ -387,237 +448,9 @@ impl SchedConfig {
                 &initial_estimates,
             ),
             queue: JobQueue::new(),
-            specs: SpecSource::All(&self.jobs),
-            jobs,
-            jobs_remaining,
-            placement: PlacementState::new(self.placement),
-            placement_rng: factory.labeled_stream("sched-placement", replication),
-            eviction: self.eviction,
-            gang_policy: self.gang,
-            gangs,
-            gang_queue: GangQueue::new(),
-            machine_gang: vec![None; w],
-            growers: BTreeSet::new(),
-            gacc: GangStats::default(),
-            frag_t: 0.0,
-            frag_free: 0,
-            frag_waiting: false,
-            discipline: self.discipline,
-            acc: Acc::default(),
-            failures: self.failures,
-            failure_rngs,
-            crashes_by_machine: vec![0; if self.failures.is_some() { w } else { 0 }],
-            makespan: 0.0,
-            done: false,
-        };
-
-        let mut cal: Calendar<SchedEvent> = Calendar::with_capacity(w + 16);
-        for m in 0..w {
-            let mach = &mut sim.machines[m];
-            let think = mach.owner.sample_think(&mut mach.rng);
-            cal.post(
-                SimTime::new(think),
-                SchedEvent::OwnerArrival { m: m as u32 },
-            )
-            .expect("invariant: think time is non-negative");
-        }
-        seed_failures(&mut sim, &mut cal);
-        // Job arrivals are known up front. When they come time-sorted
-        // (streams, Poisson workloads — the common case) they take the
-        // calendar's pre-sorted backlog, which keeps the heap at the
-        // live-event horizon instead of the whole experiment; sequence
-        // numbers are allocated identically on both paths, so the
-        // event order is the same either way.
-        let arrivals_sorted = self
-            .jobs
-            .windows(2)
-            .all(|pair| pair[0].arrival <= pair[1].arrival);
-        if arrivals_sorted {
-            cal.schedule_sorted(self.jobs.iter().enumerate().map(|(j, spec)| {
-                (
-                    SimTime::new(spec.arrival),
-                    SchedEvent::JobArrival { j: j as u32 },
-                )
-            }))
-            .expect("invariant: arrivals are sorted and non-negative");
-        } else {
-            for (j, spec) in self.jobs.iter().enumerate() {
-                cal.post(
-                    SimTime::new(spec.arrival),
-                    SchedEvent::JobArrival { j: j as u32 },
-                )
-                .expect("invariant: arrival is non-negative");
-            }
-        }
-
-        while cal.executed() < self.max_events {
-            let Some((t, event)) = cal.pop() else { break };
-            let now = t.as_f64();
-            // With tracing off (`NoTrace`), the guard below is
-            // `if false` after monomorphization: no clock reads, no
-            // sampling, no calls — the loop body is the pre-tracing
-            // code exactly.
-            #[allow(clippy::disallowed_methods)] // profiler-only wall-clock read
-            let started = if T::ENABLED && tracer.profile_enabled() {
-                Some(std::time::Instant::now()) // ndslint::allow(no-wall-clock, reason = "feeds the PR 6 profiler; never observed by sim logic")
-            } else {
-                None
-            };
-            match event {
-                SchedEvent::OwnerArrival { m } => {
-                    owner_arrival(&mut sim, &mut cal, now, m as usize, tracer)
-                }
-                SchedEvent::OwnerDeparture { m } => {
-                    owner_departure(&mut sim, &mut cal, now, m as usize, tracer)
-                }
-                SchedEvent::JobArrival { j } => {
-                    job_arrival(&mut sim, &mut cal, now, j as usize, tracer)
-                }
-                SchedEvent::SegmentEnd { m } => {
-                    segment_end(&mut sim, &mut cal, now, m as usize, tracer)
-                }
-                SchedEvent::GangSegmentEnd { j } => {
-                    gang_segment_end(&mut sim, &mut cal, now, j as usize, tracer)
-                }
-                SchedEvent::MachineFailure { m } => {
-                    machine_failure(&mut sim, &mut cal, now, m as usize, tracer)
-                }
-                SchedEvent::MachineRepair { m } => {
-                    machine_repair(&mut sim, &mut cal, now, m as usize, tracer)
-                }
-            }
-            if T::ENABLED {
-                let nanos = started.map_or(0, |s| {
-                    u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                });
-                // Leftover owner events drain after the last job
-                // completes; their samples carry the closing state, so
-                // pin them to the makespan and keep the sample clock
-                // inside the run.
-                let sample_t = if sim.done { sim.makespan } else { now };
-                tracer.handled(sample_t, event_class(event), nanos);
-                // Grid-throttled tracers may skip interior samples, but
-                // the closing state must always land: the trace's final
-                // sample is the run's accounting of record.
-                if sim.done || tracer.wants_state(sample_t) {
-                    tracer.state(sample_t, &gather_sample(&sim, &cal));
-                }
-            }
-        }
-        let events = cal.executed();
-
-        if !sim.done {
-            return Err(SchedError::EventCapExceeded {
-                max_events: self.max_events,
-                jobs_unfinished: sim.jobs_remaining,
-            });
-        }
-        let makespan = sim.makespan;
-        let mean_available_machines = sim.pool.mean_available(makespan);
-        let downtime = sim.pool.downtime(makespan);
-        let acc = sim.acc;
-        let gacc = sim.gacc;
-        let metrics = SchedMetrics {
-            makespan,
-            delivered: acc.delivered,
-            goodput: acc.goodput,
-            wasted: acc.wasted,
-            checkpoint_overhead: acc.ckpt,
-            evictions: acc.evictions,
-            suspensions: acc.suspensions,
-            restarts: acc.restarts,
-            migrations: acc.migrations,
-            completed_tasks: acc.completed_tasks,
-            total_demand: self.jobs.iter().map(JobSpec::total_demand).sum(),
-            placements: acc.placements,
-            mean_queue_wait: if acc.placements == 0 {
-                0.0
-            } else {
-                acc.total_wait / acc.placements as f64
-            },
-            mean_available_machines,
-            gang: gacc,
-            jobs: sim.jobs.records(),
-            crashes: acc.crashes,
-            crash_lost: acc.crash_lost,
-            downtime,
-            crashes_by_machine: std::mem::take(&mut sim.crashes_by_machine),
-        };
-        Ok((metrics, events))
-    }
-
-    /// Run one replication with jobs pulled from a [`JobFeed`] in
-    /// chunks of at most `chunk`, instead of from `self.jobs` (which
-    /// this path ignores). Completed jobs leave the engine through
-    /// `on_job` — called with each job's absolute submission index and
-    /// final [`JobRecord`], in submission order — so the returned
-    /// [`SchedMetrics`] carries an empty `jobs` list and peak memory
-    /// is bounded by the chunk size plus the live job window, not the
-    /// trace length.
-    ///
-    /// Arrivals must be globally non-decreasing across the whole feed;
-    /// a violation surfaces as a typed [`SchedError::InvalidConfig`]
-    /// naming the offending job index. Gang scheduling is rejected up
-    /// front (see [`SchedConfig::validate_streamed`]). Over the same
-    /// job list, this replays [`SchedConfig::run_counted`]'s event
-    /// sequence exactly — same RNG draws, same metrics — which the
-    /// workspace's streaming byte-identity tests pin.
-    pub fn run_streamed(
-        &self,
-        feed: &mut dyn JobFeed,
-        chunk: usize,
-        on_job: &mut dyn FnMut(usize, JobRecord),
-    ) -> Result<(SchedMetrics, u64), SchedError> {
-        self.validate_streamed(chunk)?;
-        let replication = self.replication;
-        let factory = StreamFactory::new(self.seed);
-        let w = self.owners.len();
-
-        let initial_estimates: Vec<f64> = if self.calibration_horizon > 0.0 {
-            self.owners
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    let mut rng =
-                        factory.labeled_stream("sched-probe", (i as u64) << 32 | replication);
-                    measure_utilization(o, self.calibration_horizon, &mut rng).utilization
-                })
-                .collect()
-        } else {
-            Vec::new() // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-        };
-
-        let machines: Vec<MachineSim> = self
-            .owners
-            .iter()
-            .enumerate()
-            .map(|(i, owner)| MachineSim {
-                owner,
-                rng: Xoshiro256StarStar::new(
-                    factory
-                        .labeled_stream("ws-continuous", (i as u64) << 32 | replication)
-                        .next(),
-                ),
-                guest: None,
-            })
-            .collect();
-
-        let mut sim = Sim {
-            machines,
-            pool: Pool::new(
-                w,
-                self.admission_threshold,
-                self.estimator_tau,
-                &initial_estimates,
-            ),
-            queue: JobQueue::new(),
-            specs: SpecSource::Window {
-                base: 0,
-                specs: VecDeque::with_capacity(chunk),
-            },
             jobs: JobTable {
                 base: 0,
-                states: VecDeque::with_capacity(chunk),
+                states: VecDeque::with_capacity(feeder.chunk),
             },
             jobs_remaining: 0,
             placement: PlacementState::new(self.placement),
@@ -652,8 +485,6 @@ impl SchedConfig {
             .expect("invariant: think time is non-negative");
         }
         seed_failures(&mut sim, &mut cal);
-
-        let mut feeder = ChunkFeeder::new(chunk);
         feeder.pull(feed, &mut sim, &mut cal)?;
         if feeder.scheduled == 0 {
             return Err(SchedError::InvalidConfig {
@@ -662,10 +493,19 @@ impl SchedConfig {
             });
         }
 
-        let tracer = &mut NoTrace;
         while cal.executed() < self.max_events {
             let Some((t, event)) = cal.pop() else { break };
             let now = t.as_f64();
+            // With tracing off (`NoTrace`), the guard below is
+            // `if false` after monomorphization: no clock reads, no
+            // sampling, no calls — the loop body is the pre-tracing
+            // code exactly.
+            #[allow(clippy::disallowed_methods)] // profiler-only wall-clock read
+            let started = if T::ENABLED && tracer.profile_enabled() {
+                Some(std::time::Instant::now()) // ndslint::allow(no-wall-clock, reason = "feeds the per-event-class profiler; never observed by sim logic")
+            } else {
+                None
+            };
             match event {
                 SchedEvent::OwnerArrival { m } => {
                     owner_arrival(&mut sim, &mut cal, now, m as usize, tracer);
@@ -693,12 +533,30 @@ impl SchedConfig {
                 }
                 SchedEvent::GangSegmentEnd { j } => {
                     gang_segment_end(&mut sim, &mut cal, now, j as usize, tracer);
+                    sim.jobs.retire_completed(on_job);
                 }
                 SchedEvent::MachineFailure { m } => {
                     machine_failure(&mut sim, &mut cal, now, m as usize, tracer);
                 }
                 SchedEvent::MachineRepair { m } => {
                     machine_repair(&mut sim, &mut cal, now, m as usize, tracer);
+                }
+            }
+            if T::ENABLED {
+                let nanos = started.map_or(0, |s| {
+                    u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
+                });
+                // Leftover owner events drain after the last job
+                // completes; their samples carry the closing state, so
+                // pin them to the makespan and keep the sample clock
+                // inside the run.
+                let sample_t = if sim.done { sim.makespan } else { now };
+                tracer.handled(sample_t, event_class(event), nanos);
+                // Grid-throttled tracers may skip interior samples, but
+                // the closing state must always land: the trace's final
+                // sample is the run's accounting of record.
+                if sim.done || tracer.wants_state(sample_t) {
+                    tracer.state(sample_t, &gather_sample(&sim, &cal));
                 }
             }
         }
@@ -710,12 +568,8 @@ impl SchedConfig {
                 jobs_unfinished: sim.jobs_remaining,
             });
         }
-        sim.jobs.retire_completed(on_job);
         let makespan = sim.makespan;
-        let mean_available_machines = sim.pool.mean_available(makespan);
-        let downtime = sim.pool.downtime(makespan);
         let acc = sim.acc;
-        let gacc = sim.gacc;
         let metrics = SchedMetrics {
             makespan,
             delivered: acc.delivered,
@@ -734,13 +588,13 @@ impl SchedConfig {
             } else {
                 acc.total_wait / acc.placements as f64
             },
-            mean_available_machines,
-            gang: gacc,
-            jobs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "streamed runs deliver records through the on_job sink, not the metrics struct")
+            mean_available_machines: sim.pool.mean_available(makespan),
+            gang: sim.gacc,
+            jobs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "records leave through the on_job sink, not the metrics struct")
             crashes: acc.crashes,
             crash_lost: acc.crash_lost,
-            downtime,
-            crashes_by_machine: std::mem::take(&mut sim.crashes_by_machine),
+            downtime: sim.pool.downtime(makespan),
+            crashes_by_machine: sim.crashes_by_machine,
         };
         Ok((metrics, events))
     }
@@ -768,11 +622,18 @@ fn validate_job_spec(i: usize, j: &JobSpec) -> Result<(), SchedError> {
     Ok(())
 }
 
-/// The streamed run's chunk intake: pulls bounded batches off the
+/// The event loop's job intake: pulls bounded batches off the
 /// [`JobFeed`], validates each spec, admits it to the live window, and
-/// pushes its arrival onto the calendar's pre-sorted backlog.
+/// schedules its arrival. Time-sorted chunks go to the calendar's
+/// pre-sorted backlog, which keeps the heap at the live-event horizon
+/// instead of the whole experiment. A closed job list (one chunk
+/// holding every job) may come unsorted; its arrivals are then posted
+/// one by one. Sequence numbers are allocated in submission order
+/// either way, so the event order does not depend on the intake.
 struct ChunkFeeder {
     chunk: usize,
+    /// The feed is a closed job list, delivered as one chunk.
+    closed: bool,
     buf: Vec<JobSpec>,
     /// Total arrivals scheduled so far == the next absolute job index.
     scheduled: usize,
@@ -785,10 +646,19 @@ impl ChunkFeeder {
     fn new(chunk: usize) -> Self {
         Self {
             chunk,
+            closed: false,
             buf: Vec::with_capacity(chunk),
             scheduled: 0,
             done: false,
             total_demand: 0.0,
+        }
+    }
+
+    /// The intake for a closed list of `jobs` jobs.
+    fn closed(jobs: usize) -> Self {
+        Self {
+            closed: true,
+            ..Self::new(jobs)
         }
     }
 
@@ -804,34 +674,45 @@ impl ChunkFeeder {
             self.done = true;
             return Ok(());
         }
-        let SpecSource::Window { specs: window, .. } = &mut sim.specs else {
-            unreachable!("streamed runs always use a window spec source");
-        };
         for (k, spec) in self.buf.iter().enumerate() {
             validate_job_spec(self.scheduled + k, spec)?;
-            window.push_back(*spec);
             sim.jobs.push_back(JobState::of_spec(spec));
+            if sim.gang_policy.is_on() {
+                sim.gangs.push(GangState::of_spec(spec, sim.gang_policy));
+            }
             self.total_demand += spec.total_demand();
         }
         sim.jobs_remaining += n;
         let base = self.scheduled;
-        cal.schedule_sorted(self.buf.iter().enumerate().map(|(k, spec)| {
+        let arrivals = self.buf.iter().enumerate().map(|(k, spec)| {
             (
                 SimTime::new(spec.arrival),
                 SchedEvent::JobArrival {
                     j: (base + k) as u32,
                 },
             )
-        }))
-        .map_err(|e| SchedError::InvalidConfig {
-            field: "feed",
-            reason: format!(
-                "arrivals must be non-decreasing across the whole feed \
-                 (jobs {}..{}): {e}",
-                base,
-                base + n
-            ),
-        })?;
+        });
+        let sorted = self
+            .buf
+            .windows(2)
+            .all(|pair| pair[0].arrival <= pair[1].arrival);
+        if self.closed && !sorted {
+            for (at, event) in arrivals {
+                cal.post(at, event)
+                    .expect("invariant: arrival is non-negative");
+            }
+        } else {
+            cal.schedule_sorted(arrivals)
+                .map_err(|e| SchedError::InvalidConfig {
+                    field: "feed",
+                    reason: format!(
+                        "arrivals must be non-decreasing across the whole feed \
+                         (jobs {}..{}): {e}",
+                        base,
+                        base + n
+                    ),
+                })?;
+        }
         self.scheduled += n;
         Ok(())
     }
@@ -891,7 +772,7 @@ fn gather_sample(sim: &Sim, cal: &Calendar<SchedEvent>) -> StateSample {
         free_machines: sim.pool.candidates().len() as u32,
         running_gangs,
         degraded_gangs,
-        pending_events: cal.pending() as u32,
+        pending_events: cal.pending_horizon() as u32,
         delivered: sim.acc.delivered,
         goodput: sim.acc.goodput,
         wasted: sim.acc.wasted,
@@ -955,62 +836,44 @@ struct MachineSim<'a> {
     guest: Option<GuestTask>,
 }
 
+/// One admitted job: its spec plus completion progress, in 32 bytes
+/// (a streamed day holds one per job in the live window).
 #[derive(Debug, Clone, Copy)]
 struct JobState {
+    tasks: u32,
     tasks_left: u32,
-    record: JobRecord,
+    task_demand: f64,
+    arrival: f64,
+    /// `NaN` until the last task completes.
+    completion: f64,
 }
 
 impl JobState {
     fn of_spec(spec: &JobSpec) -> Self {
         Self {
+            tasks: spec.tasks,
             tasks_left: spec.tasks,
-            record: JobRecord {
-                arrival: spec.arrival,
-                completion: f64::NAN,
-                demand: spec.total_demand(),
-            },
+            task_demand: spec.task_demand,
+            arrival: spec.arrival,
+            completion: f64::NAN,
+        }
+    }
+
+    fn record(&self) -> JobRecord {
+        JobRecord {
+            arrival: self.arrival,
+            completion: self.completion,
+            // Exactly `JobSpec::total_demand`.
+            demand: f64::from(self.tasks) * self.task_demand,
         }
     }
 }
 
-/// Where `job_arrival` reads job specs from: the config's materialized
-/// job table (classic path), or a sliding window fed chunk by chunk by
-/// a [`JobFeed`] (streamed path). In the window case arrivals fire in
-/// submission order — sorted times, sequentially allocated calendar
-/// sequence numbers — so the arriving job is always the window's
-/// front, and its spec retires the moment it is consumed.
-#[derive(Debug)]
-enum SpecSource<'a> {
-    All(&'a [JobSpec]),
-    Window {
-        base: usize,
-        specs: VecDeque<JobSpec>,
-    },
-}
-
-impl SpecSource<'_> {
-    #[inline]
-    fn take(&mut self, j: usize) -> JobSpec {
-        match self {
-            Self::All(specs) => specs[j],
-            Self::Window { base, specs } => {
-                debug_assert_eq!(*base, j, "streamed arrivals fire in submission order");
-                *base += 1;
-                specs
-                    .pop_front()
-                    .expect("invariant: a scheduled arrival's spec is resident in the window")
-            }
-        }
-    }
-}
-
-/// Per-job live state addressed by absolute job index. The classic
-/// path holds every job for the whole run (`base == 0`, nothing ever
-/// retires — bit-identical to the old `Vec<JobState>`); the streamed
-/// path retires the completed prefix in submission order, emitting each
-/// [`JobRecord`] to the caller's sink, so residency tracks the live job
-/// window instead of the experiment length.
+/// Per-job live state addressed by absolute job index, from admission
+/// by the [`ChunkFeeder`] until the job completes: the completed prefix
+/// retires in submission order, emitting each [`JobRecord`] to the
+/// caller's sink, so residency tracks the live job window instead of
+/// the experiment length.
 #[derive(Debug)]
 struct JobTable {
     base: usize,
@@ -1018,13 +881,6 @@ struct JobTable {
 }
 
 impl JobTable {
-    fn from_states(states: Vec<JobState>) -> Self {
-        Self {
-            base: 0,
-            states: VecDeque::from(states),
-        }
-    }
-
     #[inline]
     fn get_mut(&mut self, j: usize) -> &mut JobState {
         &mut self.states[j - self.base]
@@ -1048,13 +904,9 @@ impl JobTable {
                 .states
                 .pop_front()
                 .expect("invariant: front() was Some in the loop guard");
-            on_job(self.base, state.record);
+            on_job(self.base, state.record());
             self.base += 1;
         }
-    }
-
-    fn records(&self) -> Vec<JobRecord> {
-        self.states.iter().map(|s| s.record).collect()
     }
 }
 
@@ -1105,6 +957,23 @@ struct GangState {
     /// machines.
     floor: u32,
     phase: GangPhase,
+}
+
+impl GangState {
+    /// A queued gang for `spec` under `policy`.
+    fn of_spec(spec: &JobSpec, policy: GangPolicy) -> Self {
+        Self {
+            members: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "job intake; an empty Vec does not allocate")
+            member_running: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "job intake; an empty Vec does not allocate")
+            member_busy: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "job intake; an empty Vec does not allocate")
+            demand: spec.task_demand,
+            remaining: spec.task_demand,
+            setup_left: 0.0,
+            width: spec.tasks,
+            floor: policy.floor_for(spec.tasks),
+            phase: GangPhase::Queued,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1179,7 +1048,6 @@ struct Sim<'a> {
     machines: Vec<MachineSim<'a>>,
     pool: Pool,
     queue: JobQueue,
-    specs: SpecSource<'a>,
     jobs: JobTable,
     jobs_remaining: usize,
     placement: PlacementState,
@@ -1388,28 +1256,31 @@ fn segment_end<T: SchedTracer>(
     let job = sim.jobs.get_mut(guest.job);
     job.tasks_left -= 1;
     if job.tasks_left == 0 {
-        job.record.completion = now;
-        sim.jobs_remaining -= 1;
-        if T::ENABLED {
-            tracer.record(
-                now,
-                SchedRecord::JobCompleted {
-                    job: guest.job as u32,
-                },
-            );
-            let response = job.record.response_time();
-            tracer.observe(now, ObsKind::Response, response);
-            if job.record.demand > 0.0 {
-                tracer.observe(now, ObsKind::Slowdown, response / job.record.demand);
-            }
-        }
-        if sim.jobs_remaining == 0 {
-            sim.done = true;
-            sim.makespan = now;
-        }
+        complete_job(sim, now, guest.job, tracer);
     }
     if !sim.done {
         dispatch(sim, cal, tracer);
+    }
+}
+
+/// Job `j`'s last task just completed at `now`.
+fn complete_job<T: SchedTracer>(sim: &mut Sim, now: f64, j: usize, tracer: &mut T) {
+    let job = sim.jobs.get_mut(j);
+    job.tasks_left = 0;
+    job.completion = now;
+    sim.jobs_remaining -= 1;
+    if T::ENABLED {
+        tracer.record(now, SchedRecord::JobCompleted { job: j as u32 });
+        let record = job.record();
+        let response = record.response_time();
+        tracer.observe(now, ObsKind::Response, response);
+        if record.demand > 0.0 {
+            tracer.observe(now, ObsKind::Slowdown, response / record.demand);
+        }
+    }
+    if sim.jobs_remaining == 0 {
+        sim.done = true;
+        sim.makespan = now;
     }
 }
 
@@ -1421,7 +1292,8 @@ fn job_arrival<T: SchedTracer>(
     j: usize,
     tracer: &mut T,
 ) {
-    let spec = sim.specs.take(j);
+    let job = sim.jobs.get_mut(j);
+    let (tasks, demand) = (job.tasks, job.task_demand);
     if T::ENABLED {
         tracer.record(now, SchedRecord::JobArrival { job: j as u32 });
     }
@@ -1429,20 +1301,20 @@ fn job_arrival<T: SchedTracer>(
         let min_tasks = sim.gangs[j].floor;
         sim.gang_queue.push(PendingGang {
             job: j,
-            tasks: spec.tasks,
+            tasks,
             min_tasks,
-            demand: spec.task_demand,
-            remaining: spec.task_demand,
+            demand,
+            remaining: demand,
             setup: 0.0,
             enqueued_at: now,
         });
     } else {
-        for task in 0..spec.tasks {
+        for task in 0..tasks {
             sim.queue.push(PendingTask {
                 job: j,
                 task,
-                demand: spec.task_demand,
-                remaining: spec.task_demand,
+                demand,
+                remaining: demand,
                 setup: 0.0,
                 enqueued_at: now,
             });
@@ -2650,22 +2522,7 @@ fn gang_segment_end<T: SchedTracer>(
     // rate).
     sim.acc.goodput += f64::from(width) * demand;
     sim.acc.completed_tasks += u64::from(width);
-    let job = sim.jobs.get_mut(j);
-    job.tasks_left = 0;
-    job.record.completion = now;
-    sim.jobs_remaining -= 1;
-    if T::ENABLED {
-        tracer.record(now, SchedRecord::JobCompleted { job: j as u32 });
-        let response = job.record.response_time();
-        tracer.observe(now, ObsKind::Response, response);
-        if job.record.demand > 0.0 {
-            tracer.observe(now, ObsKind::Slowdown, response / job.record.demand);
-        }
-    }
-    if sim.jobs_remaining == 0 {
-        sim.done = true;
-        sim.makespan = now;
-    }
+    complete_job(sim, now, j, tracer);
     frag_update(sim, now);
     verify_gang_invariants(sim, j);
     if !sim.done {

@@ -97,17 +97,18 @@ fn print_usage() {
          \x20                                 the engine's own event log\n\
          \x20 diff-trace  A B [--context K]   first divergence between two JSONL traces\n\
          \x20 help                            this message\n\n\
-         sched/stream/gang also accept --trace DIR (record the run's flight data\n\
-         under DIR) and --metrics-every T (sim-time snapshot interval, default 100).\n\
+         sched/stream/gang/replay also accept --trace DIR (record the run's flight\n\
+         data under DIR); sched/stream/gang also accept --metrics-every T (sim-time\n\
+         snapshot interval, default 100).\n\
          sched/stream/gang accept --mtbf M [--mttr R] (machine failure injection:\n\
          exponential crashes with mean uptime M and mean repair R, default 15; a\n\
          crash destroys the running guest's unprotected progress whatever the\n\
          eviction policy — only checkpointed work survives). --eviction adaptive\n\
          restarts below --threshold T invested progress (default 60), then\n\
          checkpoints every --interval I.\n\
-         sched/stream/gang/trace accept --progress SECS (heartbeat to stderr every\n\
-         SECS wall-clock seconds), --cheap (bounded-cost recording tier: lifecycle\n\
-         records only, grid-throttled state, host profiling off), and\n\
+         sched/stream/gang/replay/trace accept --progress SECS (heartbeat to stderr\n\
+         every SECS wall-clock seconds), --cheap (bounded-cost recording tier:\n\
+         lifecycle records only, grid-throttled state, host profiling off), and\n\
          --trace-capacity N (keep only the newest N records in a ring)"
     );
 }
@@ -345,10 +346,8 @@ fn policy_flags(
     Ok((placement, eviction, discipline))
 }
 
-/// Map a [`SimError`] to the CLI's exit-code convention: 2 for
-/// configuration mistakes, 1 for runs that could not complete.
 /// Apply the observability flags shared by `sched`/`stream`/`gang`/
-/// `trace` to a simulation builder: `--progress SECS` (stderr
+/// `replay`/`trace` to a simulation builder: `--progress SECS` (stderr
 /// heartbeat), `--cheap` (bounded-cost recording tier), and
 /// `--trace-capacity N` (ring-buffer record storage).
 fn obs_flags(mut b: SimBuilder, args: &[String]) -> Result<SimBuilder, String> {
@@ -388,6 +387,8 @@ fn fault_flags(b: SimBuilder, args: &[String]) -> Result<SimBuilder, String> {
     Ok(b.failures(model))
 }
 
+/// Map a [`SimError`] to the CLI's exit-code convention: 2 for
+/// configuration mistakes, 1 for runs that could not complete.
 fn sim_error_code(e: &SimError) -> i32 {
     match e {
         // Stats errors are configuration mistakes too: the batch/window
@@ -1173,14 +1174,22 @@ fn cmd_replay(args: &[String]) -> i32 {
     let u = flag(rest, "--utilization").unwrap_or(0.10);
     let o = flag(rest, "--owner-demand").unwrap_or(10.0);
 
+    let base = Sim::pool(machines)
+        .stream_chunk(chunk)
+        .seed(seed)
+        .replications(reps)
+        .shards(shards)
+        .batches(batches)
+        .max_events(max_events);
+    // Streamed runs take the heartbeat and the flight recorder too.
+    let base = match obs_flags(base, rest) {
+        Ok(b) => b,
+        Err(e) => {
+            eprintln!("replay: {e}");
+            return 2;
+        }
+    };
     let built: Result<(Sim, String), SimError> = (|| {
-        let base = Sim::pool(machines)
-            .stream_chunk(chunk)
-            .seed(seed)
-            .replications(reps)
-            .shards(shards)
-            .batches(batches)
-            .max_events(max_events);
         match file {
             Some(path) => {
                 // File traces carry no owner model, so the pool is
@@ -1263,7 +1272,8 @@ fn cmd_replay(args: &[String]) -> i32 {
         "\nwork conservation (delivered == goodput + wasted + ckpt): {}",
         if consistent { "holds" } else { "VIOLATED" }
     );
-    i32::from(!consistent)
+    let traced = maybe_trace("replay", rest, &sim);
+    i32::from(!(consistent && traced))
 }
 
 /// Where two JSONL traces first stop agreeing, with enough context to

@@ -111,6 +111,37 @@ fn scenarios() -> Vec<(&'static str, SchedConfig)> {
     fenced.seed = 0xFACE;
     out.push(("indep_calibrated_fenced", fenced));
 
+    // Closed job lists whose arrivals are out of submission order: the
+    // engine must schedule each arrival individually (no sorted
+    // backlog), and per-job records stay indexed by submission order.
+    let unsorted: Vec<JobSpec> = [
+        (3, 30.0, 180.0),
+        (5, 25.0, 20.0),
+        (2, 60.0, 140.0),
+        (4, 35.0, 0.0),
+        (1, 80.0, 100.0),
+        (6, 20.0, 60.0),
+        (3, 45.0, 160.0),
+        (2, 30.0, 40.0),
+    ]
+    .into_iter()
+    .map(|(tasks, task_demand, arrival)| JobSpec {
+        tasks,
+        task_demand,
+        arrival,
+    })
+    .collect();
+    let mut indep = SchedConfig::homogeneous(8, &owner(0.20), unsorted);
+    indep.eviction = EvictionPolicy::Restart;
+    indep.seed = 0x5047;
+    out.push(("indep_unsorted_arrivals", indep));
+
+    let mut gang = mid_size_gang_config();
+    gang.jobs.reverse();
+    gang.jobs.swap(0, 2);
+    gang.gang = GangPolicy::Partial { min_running: 2 };
+    out.push(("gang_unsorted_arrivals", gang));
+
     out
 }
 

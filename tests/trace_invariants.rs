@@ -8,8 +8,10 @@
 //! four — must produce byte-identical traces. That is the property
 //! that makes traces diffable artifacts rather than log soup.
 
-use nds::core::sim::{closed, poisson, JobShape, Sim};
-use nds::sched::{GangPolicy, JobSpec, ObsKind};
+use nds::core::sim::{closed, poisson, JobShape, Sim, SyntheticTrace};
+use nds::sched::{
+    EventClass, FlightRecorder, GangPolicy, JobSpec, ObsKind, ProgressMeter, SchedConfig, SliceFeed,
+};
 use nds_cluster::owner::OwnerWorkload;
 
 fn owner(u: f64) -> OwnerWorkload {
@@ -411,4 +413,117 @@ fn open_stream_trace_accounting() {
         tallied, recorded,
         "per-machine tallies must cover every arrival"
     );
+}
+
+/// A sorted open job list lowered to the scheduler engine. Continuous
+/// Poisson arrivals never tie with owner events, so chunk boundaries
+/// cannot reorder an exact-time tie.
+fn open_cfg() -> SchedConfig {
+    Sim::pool(12)
+        .owners(owner(0.10))
+        .workload(poisson(0.05, JobShape::new(3, 30.0)).jobs(150).warmup(10))
+        .seed(31)
+        .build()
+        .unwrap()
+        .lower(0)
+        .unwrap()
+}
+
+/// A streamed run traces exactly like the materialized run of the same
+/// jobs, whatever the chunk size: the event log, the Chrome trace and
+/// the metrics series (including `pending_events`, which counts the
+/// live horizon and not the pre-sorted arrival backlog) are
+/// byte-identical, and the profiler attributes every executed event.
+#[test]
+fn streamed_traces_byte_identical_to_materialized() {
+    let cfg = open_cfg();
+    let recorder = || FlightRecorder::new(cfg.owners.len(), 50.0);
+    let mut want = recorder();
+    let (metrics, events) = cfg.run_traced(&mut want).unwrap();
+    want.finish(metrics.makespan);
+    for chunk in [1, 7, 10_000] {
+        let mut got = recorder();
+        let mut records = Vec::new();
+        let (mut streamed, streamed_events) = cfg
+            .run_streamed_traced(
+                &mut SliceFeed::new(&cfg.jobs),
+                chunk,
+                &mut |_, record| records.push(record),
+                &mut got,
+            )
+            .unwrap();
+        got.finish(streamed.makespan);
+        assert_eq!(streamed_events, events, "chunk {chunk}");
+        assert!(streamed.jobs.is_empty(), "records leave through the sink");
+        streamed.jobs = records;
+        assert_eq!(
+            format!("{streamed:?}"),
+            format!("{metrics:?}"),
+            "chunk {chunk}"
+        );
+        assert_eq!(got.to_jsonl(), want.to_jsonl(), "chunk {chunk}");
+        assert_eq!(got.to_chrome_json(), want.to_chrome_json(), "chunk {chunk}");
+        assert_eq!(got.metrics_json(), want.metrics_json(), "chunk {chunk}");
+        let per_class: u64 = EventClass::ALL
+            .iter()
+            .map(|&class| got.profiler().count(class))
+            .sum();
+        assert_eq!(per_class, streamed_events, "chunk {chunk}");
+    }
+}
+
+/// The progress heartbeat sees every event of a streamed run.
+#[test]
+fn progress_meter_counts_every_streamed_event() {
+    let cfg = open_cfg();
+    // An hour-long beat period: the heartbeat never prints.
+    let mut meter = ProgressMeter::new(3600.0);
+    let (_, events) = cfg
+        .run_streamed_traced(
+            &mut SliceFeed::new(&cfg.jobs),
+            7,
+            &mut |_, _| {},
+            &mut meter,
+        )
+        .unwrap();
+    assert!(events > 0);
+    assert_eq!(meter.events_seen(), events);
+}
+
+fn datacenter_sim(chunk: usize, shards: usize) -> Sim {
+    let trace = SyntheticTrace::datacenter(12, 400);
+    Sim::pool(trace.machines())
+        .owners(trace.owners(21, 0).unwrap())
+        .workload(trace)
+        .stream_chunk(chunk)
+        .seed(21)
+        .replications(3)
+        .shards(shards)
+        .build()
+        .unwrap()
+}
+
+/// `run_flight` streams when `stream_chunk > 0`: no job table is
+/// materialized, shards(1) and shards(4) give the same bytes, and so
+/// does the materialized flight of the same day.
+#[test]
+fn streamed_flights_byte_identical_across_shards_and_chunks() {
+    let serial = datacenter_sim(7, 1).run_flight().unwrap();
+    let sharded = datacenter_sim(7, 4).run_flight().unwrap();
+    let materialized = datacenter_sim(0, 1).run_flight().unwrap();
+    assert_eq!(serial.len(), 3);
+    for ((a, b), m) in serial.iter().zip(&sharded).zip(&materialized) {
+        let rep = a.replication;
+        assert!(
+            a.metrics.jobs.is_empty(),
+            "rep {rep}: streamed flights keep no job table"
+        );
+        assert_eq!(m.metrics.jobs.len(), 400);
+        for other in [b, m] {
+            assert_eq!(a.events, other.events, "rep {rep}");
+            assert_eq!(a.to_jsonl(), other.to_jsonl(), "rep {rep}");
+            assert_eq!(a.to_chrome_json(), other.to_chrome_json(), "rep {rep}");
+            assert_eq!(a.metrics_json(), other.metrics_json(), "rep {rep}");
+        }
+    }
 }
