@@ -9,9 +9,9 @@
 //!
 //! Built through the unified `Sim` builder: this is the degenerate
 //! closed configuration (one job, one task per station,
-//! suspend-resume), so it lowers to the `JobRunner` fast path, and the
-//! 200 replications shard across scoped threads (`.shards`) with
-//! byte-identical results to the serial sweep.
+//! suspend-resume), where the scheduler engine reproduces the paper's
+//! model bit-for-bit, and the 200 replications shard across scoped
+//! threads (`.shards`) with byte-identical results to the serial sweep.
 use nds_cluster::owner::OwnerWorkload;
 use nds_core::report::Table;
 use nds_core::sim::{single_job, Sim};

@@ -1,4 +1,4 @@
-//! Continuous-time workstation simulation on the DES engine.
+//! Continuous-time workstation simulation on the DES calendar.
 //!
 //! One workstation is one preemptive-priority [`Facility`] (its CPU).
 //! The parallel task is a low-priority request for `T` units of service;
@@ -9,27 +9,26 @@
 
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;
-use nds_des::{Engine, EventId, Facility, Request, RequestOutcome, SimTime};
+use nds_des::{Calendar, Facility, Request, RequestId, RequestOutcome, SimTime};
 use nds_stats::rng::Xoshiro256StarStar;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Priority of owner processes (preempts tasks).
 pub const OWNER_PRIORITY: i32 = 10;
 /// Priority of parallel tasks ("niced" in the paper's PVM experiment).
 pub const TASK_PRIORITY: i32 = 0;
 
-/// The task's facility request id (owners use ids from 1 upward).
-const TASK_REQ: u64 = 0;
+/// The task's facility request id.
+const TASK_REQ: RequestId = 0;
+/// The owner's request id: its bursts never overlap, so one id serves.
+const OWNER_REQ: RequestId = 1;
 
-struct WsState {
-    facility: Facility,
-    owner: OwnerWorkload,
-    rng: Xoshiro256StarStar,
-    task_completion: Option<EventId>,
-    task_done: Option<SimTime>,
-    interruptions: u64,
-    next_owner_req: u64,
+/// The workstation's events. Only `TaskDone` is ever cancelled (by a
+/// preempting owner burst), so the owner events are posted.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    TaskDone,
+    OwnerArrival,
+    OwnerDone,
 }
 
 /// A single non-dedicated workstation executing one parallel task under
@@ -58,146 +57,99 @@ impl ContinuousWorkstation {
             task_demand > 0.0 && task_demand.is_finite(),
             "task demand must be finite and > 0"
         );
-        let mut engine = Engine::new();
-        let state = Rc::new(RefCell::new(WsState {
-            facility: Facility::new("cpu"),
-            owner: self.owner.clone(),
-            rng: Xoshiro256StarStar::new(rng.next()),
-            task_completion: None,
-            task_done: None,
-            interruptions: 0,
-            next_owner_req: 1,
-        }));
+        let owner = &self.owner;
+        let mut rng = Xoshiro256StarStar::new(rng.next());
+        let mut cpu = Facility::new("cpu");
+        let mut cal = Calendar::with_capacity(3);
 
-        // Submit the task at t = 0.
-        {
-            let mut st = state.borrow_mut();
-            let (outcome, _) = st
-                .facility
-                .submit(
-                    SimTime::ZERO,
-                    Request {
-                        id: TASK_REQ,
-                        priority: TASK_PRIORITY,
-                        demand: task_demand,
-                    },
-                )
-                .expect("fresh facility accepts the task");
-            let RequestOutcome::Started { completion } = outcome else {
-                unreachable!("idle facility starts immediately");
-            };
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| task_complete(e, &sc))
-                .expect("schedule task completion");
-            st.task_completion = Some(ev);
+        // Submit the task at t = 0; the first owner arrives after one
+        // think period.
+        let (outcome, _) = cpu
+            .submit(
+                SimTime::ZERO,
+                Request {
+                    id: TASK_REQ,
+                    priority: TASK_PRIORITY,
+                    demand: task_demand,
+                },
+            )
+            .expect("fresh facility accepts the task");
+        let RequestOutcome::Started { completion } = outcome else {
+            unreachable!("idle facility starts immediately");
+        };
+        let mut task_ev = Some(
+            cal.schedule(completion, Ev::TaskDone)
+                .expect("schedule task completion"),
+        );
+        cal.post(SimTime::new(owner.sample_think(&mut rng)), Ev::OwnerArrival)
+            .expect("schedule first owner arrival");
+
+        let mut done = None;
+        let mut interruptions = 0;
+        while let Some((now, ev)) = cal.pop() {
+            match ev {
+                // Once the task is done, interference stops so the
+                // calendar drains.
+                Ev::OwnerArrival if done.is_some() => {}
+                Ev::OwnerArrival => {
+                    let demand = owner.sample_service(&mut rng);
+                    let (outcome, preempted) = cpu
+                        .submit(
+                            now,
+                            Request {
+                                id: OWNER_REQ,
+                                priority: OWNER_PRIORITY,
+                                demand,
+                            },
+                        )
+                        .expect("owner demand is positive");
+                    let RequestOutcome::Started { completion } = outcome else {
+                        unreachable!("owner always outranks the running task");
+                    };
+                    if preempted.is_some() {
+                        interruptions += 1;
+                        if let Some(handle) = task_ev.take() {
+                            cal.cancel(handle);
+                        }
+                    }
+                    cal.post(completion, Ev::OwnerDone)
+                        .expect("schedule owner completion");
+                }
+                Ev::OwnerDone => {
+                    let (_, resumed) = cpu
+                        .complete_current(now)
+                        .expect("owner burst was in service");
+                    if let Some((id, completion)) = resumed {
+                        debug_assert_eq!(id, TASK_REQ, "only the task can be resumed");
+                        task_ev = Some(
+                            cal.schedule(completion, Ev::TaskDone)
+                                .expect("schedule resumed task completion"),
+                        );
+                    }
+                    // Next owner cycle: think, then use again.
+                    if done.is_none() {
+                        let think = owner.sample_think(&mut rng);
+                        cal.post_in(SimTime::new(think), Ev::OwnerArrival)
+                            .expect("schedule next owner arrival");
+                    }
+                }
+                Ev::TaskDone => {
+                    let (id, next) = cpu.complete_current(now).expect("task was in service");
+                    debug_assert_eq!(id, TASK_REQ);
+                    debug_assert!(next.is_none(), "no owner can be waiting behind the task");
+                    done = Some(now.as_f64());
+                }
+            }
         }
 
-        // First owner arrival after one think period.
-        {
-            let think = {
-                let mut guard = state.borrow_mut();
-                let st = &mut *guard;
-                st.owner.sample_think(&mut st.rng)
-            };
-            let sc = state.clone();
-            engine
-                .schedule(SimTime::new(think), move |e| owner_arrival(e, &sc))
-                .expect("schedule first owner arrival");
-        }
-
-        engine.run_to_quiescence(None);
-
-        let st = state.borrow();
-        let done = st
-            .task_done
-            .expect("task must complete once the calendar drains")
-            .as_f64();
+        let done = done.expect("task must complete once the calendar drains");
         TaskOutcome {
             execution_time: done,
             demand: task_demand,
-            interruptions: st.interruptions,
+            interruptions,
             suspended_time: done - task_demand,
         }
     }
-}
-
-fn owner_arrival(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.task_done.is_some() {
-        // The job is over; stop generating interference so the run ends.
-        return;
-    }
-    let demand = st.owner.sample_service(&mut st.rng);
-    let req_id = st.next_owner_req;
-    st.next_owner_req += 1;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id: req_id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand is positive");
-    let RequestOutcome::Started { completion } = outcome else {
-        unreachable!("owner always outranks the running task");
-    };
-    if preempted.is_some() {
-        st.interruptions += 1;
-        if let Some(ev) = st.task_completion.take() {
-            engine.cancel(ev);
-        }
-    }
-    let sc = state.clone();
-    drop(guard);
-    engine
-        .schedule(completion, move |e| owner_complete(e, &sc))
-        .expect("schedule owner completion");
-}
-
-fn owner_complete(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let (_owner_id, resumed) = st
-        .facility
-        .complete_current(now)
-        .expect("owner burst was in service");
-    if let Some((id, completion)) = resumed {
-        debug_assert_eq!(id, TASK_REQ, "only the task can be resumed");
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| task_complete(e, &sc))
-            .expect("schedule resumed task completion");
-        st.task_completion = Some(ev);
-    }
-    // Next owner cycle: think, then use again.
-    if st.task_done.is_none() {
-        let think = st.owner.sample_think(&mut st.rng);
-        let sc = state.clone();
-        drop(guard);
-        engine
-            .schedule(now + SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule next owner arrival");
-    }
-}
-
-fn task_complete(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut st = state.borrow_mut();
-    let (id, next) = st
-        .facility
-        .complete_current(now)
-        .expect("task was in service");
-    debug_assert_eq!(id, TASK_REQ);
-    debug_assert!(next.is_none(), "no owner can be waiting behind the task");
-    st.task_completion = None;
-    st.task_done = Some(now);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! workstations, each privately owned, executing one perfectly parallel
 //! job whose tasks run at low priority beneath the owner's processes.
 //!
-//! Two simulators are provided:
+//! Two families of simulators are provided:
 //!
 //! * [`discrete`] — an **exact replica of the analytical model**
 //!   (discrete time, geometric owner requests, deterministic owner
@@ -12,13 +12,17 @@
 //!   counterpart of the paper's CSIM program, whose sole purpose was to
 //!   validate the analysis; [`experiment`] reruns that validation with
 //!   the paper's exact batch-means procedure.
-//! * [`continuous`] — a continuous-time generalization built on the
-//!   [`nds_des`] engine and its preemptive-priority [`nds_des::Facility`]:
-//!   arbitrary think-time and service-demand distributions
-//!   (exponential, hyperexponential, long-job mixtures...), which the
-//!   paper lists as future work. This simulator also backs the PVM
-//!   validation experiments (Figures 10–11), where owner interference is
-//!   continuous-time at ~3% utilization.
+//! * the continuous-time simulators, each an event loop over a private
+//!   event enum on [`nds_des::Calendar`], with the CPU modelled by
+//!   [`nds_des::Facility`]'s preemptive-priority discipline.
+//!   [`continuous`] runs one task on one workstation under arbitrary
+//!   think-time and service-demand distributions (exponential,
+//!   hyperexponential, long-job mixtures...), which the paper lists as
+//!   future work. It also backs the PVM validation experiments
+//!   (Figures 10–11), where owner interference is continuous-time at
+//!   ~3% utilization. [`multi`] shares each station among several
+//!   jobs' tasks, and [`smp`] gives a station `k` CPUs
+//!   ([`nds_des::MultiFacility`]) and several owner streams.
 //!
 //! Supporting modules: [`owner`] (owner workload generators), [`job`]
 //! (multi-workstation job runs), [`probe`] (utilization measurement, the

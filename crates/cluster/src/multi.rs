@@ -9,17 +9,26 @@
 //! other — interference now comes from owners *and* rival tasks.
 
 use crate::owner::OwnerWorkload;
-use nds_des::{Engine, EventId, Facility, Request, RequestId, RequestOutcome, SimTime};
+use nds_des::{Calendar, Facility, Request, RequestId, RequestOutcome, SimTime};
 use nds_stats::rng::{StreamFactory, Xoshiro256StarStar};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Priority of owner processes (preempts tasks).
 const OWNER_PRIORITY: i32 = 10;
 /// Priority of parallel tasks.
 const TASK_PRIORITY: i32 = 0;
-/// Owner request ids start here; below are task indices.
-const OWNER_BASE: RequestId = 1 << 32;
+/// The owner's request id; task ids are job indices below it.
+const OWNER_REQ: RequestId = RequestId::MAX;
+
+/// A station's events. Only `ServiceDone` is ever cancelled (by a
+/// preempting owner burst), so arrivals are posted.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// The task of job `jobs[i]` arrives.
+    TaskArrival(usize),
+    OwnerArrival,
+    /// Whatever is in service finishes.
+    ServiceDone,
+}
 
 /// One parallel job in a multi-job workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,18 +58,6 @@ impl JobOutcome {
     }
 }
 
-struct MState {
-    facility: Facility,
-    owner: OwnerWorkload,
-    rng: Xoshiro256StarStar,
-    /// Completion event for whatever is in service.
-    completion_ev: Option<EventId>,
-    /// Completion time per task (index = task id).
-    done: Vec<Option<f64>>,
-    remaining: usize,
-    next_owner_req: RequestId,
-}
-
 /// Simulate one workstation running several tasks (one per job) that
 /// arrive at the given times, under owner interference. Returns the
 /// absolute completion time of each task.
@@ -76,138 +73,92 @@ pub fn run_station_tasks(
             "bad job spec {j:?}"
         );
     }
-    let mut engine = Engine::new();
-    let state = Rc::new(RefCell::new(MState {
-        facility: Facility::new("cpu"),
-        owner: owner.clone(),
-        rng: Xoshiro256StarStar::new(rng.next()),
-        completion_ev: None,
-        done: vec![None; jobs.len()],
-        remaining: jobs.len(),
-        next_owner_req: OWNER_BASE,
-    }));
-
-    // Task arrivals.
+    let mut rng = Xoshiro256StarStar::new(rng.next());
+    let mut cpu = Facility::new("cpu");
+    let mut cal = Calendar::with_capacity(jobs.len() + 2);
     for (i, job) in jobs.iter().enumerate() {
-        let sc = state.clone();
-        let demand = job.task_demand;
-        engine
-            .schedule(SimTime::new(job.arrival), move |e| {
-                task_arrival(e, &sc, i as RequestId, demand)
-            })
+        cal.post(SimTime::new(job.arrival), Ev::TaskArrival(i))
             .expect("schedule task arrival");
     }
-    // First owner arrival.
-    {
-        let think = {
-            let mut guard = state.borrow_mut();
-            let st = &mut *guard;
-            st.owner.sample_think(&mut st.rng)
-        };
-        let sc = state.clone();
-        engine
-            .schedule(SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule first owner arrival");
-    }
-    engine.run_to_quiescence(None);
+    cal.post(SimTime::new(owner.sample_think(&mut rng)), Ev::OwnerArrival)
+        .expect("schedule first owner arrival");
 
-    let st = state.borrow();
-    st.done
-        .iter()
-        .map(|d| d.expect("all tasks complete when the calendar drains"))
-        .collect()
-}
-
-fn task_arrival(engine: &mut Engine, state: &Rc<RefCell<MState>>, id: RequestId, demand: f64) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: TASK_PRIORITY,
-                demand,
-            },
-        )
-        .expect("task demand is positive");
-    debug_assert!(preempted.is_none(), "a task never preempts anything");
-    if let RequestOutcome::Started { completion } = outcome {
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| service_complete(e, &sc))
-            .expect("schedule task completion");
-        st.completion_ev = Some(ev);
-    }
-}
-
-fn owner_arrival(engine: &mut Engine, state: &Rc<RefCell<MState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.remaining == 0 {
-        return;
-    }
-    let demand = st.owner.sample_service(&mut st.rng);
-    let id = st.next_owner_req;
-    st.next_owner_req += 1;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand is positive");
-    let RequestOutcome::Started { completion } = outcome else {
-        unreachable!("owner outranks tasks and no other owner is active");
-    };
-    if preempted.is_some() {
-        if let Some(ev) = st.completion_ev.take() {
-            engine.cancel(ev);
+    // Completion event for whatever is in service.
+    let mut service_ev = None;
+    let mut done = vec![None; jobs.len()];
+    let mut remaining = jobs.len();
+    while let Some((now, ev)) = cal.pop() {
+        match ev {
+            Ev::TaskArrival(i) => {
+                let demand = jobs[i].task_demand;
+                let (outcome, preempted) = cpu
+                    .submit(
+                        now,
+                        Request {
+                            id: i as RequestId,
+                            priority: TASK_PRIORITY,
+                            demand,
+                        },
+                    )
+                    .expect("task demand is positive");
+                debug_assert!(preempted.is_none(), "a task never preempts anything");
+                if let RequestOutcome::Started { completion } = outcome {
+                    service_ev = Some(
+                        cal.schedule(completion, Ev::ServiceDone)
+                            .expect("schedule task completion"),
+                    );
+                }
+            }
+            Ev::OwnerArrival if remaining == 0 => {}
+            Ev::OwnerArrival => {
+                let demand = owner.sample_service(&mut rng);
+                let (outcome, preempted) = cpu
+                    .submit(
+                        now,
+                        Request {
+                            id: OWNER_REQ,
+                            priority: OWNER_PRIORITY,
+                            demand,
+                        },
+                    )
+                    .expect("owner demand is positive");
+                let RequestOutcome::Started { completion } = outcome else {
+                    unreachable!("owner outranks tasks and no other owner is active");
+                };
+                if preempted.is_some() {
+                    if let Some(handle) = service_ev.take() {
+                        cal.cancel(handle);
+                    }
+                }
+                service_ev = Some(
+                    cal.schedule(completion, Ev::ServiceDone)
+                        .expect("schedule owner completion"),
+                );
+            }
+            Ev::ServiceDone => {
+                let (finished, next) = cpu.complete_current(now).expect("something was in service");
+                if finished != OWNER_REQ {
+                    // A task finished.
+                    done[finished as usize] = Some(now.as_f64());
+                    remaining -= 1;
+                } else if remaining > 0 {
+                    // An owner burst finished: think, then come back.
+                    let think = owner.sample_think(&mut rng);
+                    cal.post_in(SimTime::new(think), Ev::OwnerArrival)
+                        .expect("schedule next owner arrival");
+                }
+                if let Some((_, completion)) = next {
+                    service_ev = Some(
+                        cal.schedule(completion, Ev::ServiceDone)
+                            .expect("schedule resumed completion"),
+                    );
+                }
+            }
         }
     }
-    let sc = state.clone();
-    drop(guard);
-    let ev = engine
-        .schedule(completion, move |e| service_complete(e, &sc))
-        .expect("schedule owner completion");
-    state.borrow_mut().completion_ev = Some(ev);
-}
-
-fn service_complete(engine: &mut Engine, state: &Rc<RefCell<MState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    st.completion_ev = None;
-    let (finished, next) = st
-        .facility
-        .complete_current(now)
-        .expect("something was in service");
-    if finished < OWNER_BASE {
-        // A task finished.
-        st.done[finished as usize] = Some(now.as_f64());
-        st.remaining -= 1;
-    } else if st.remaining > 0 {
-        // An owner burst finished: think, then come back.
-        let think = st.owner.sample_think(&mut st.rng);
-        let sc = state.clone();
-        engine
-            .schedule(now + SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule next owner arrival");
-    }
-    if let Some((_, completion)) = next {
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| service_complete(e, &sc))
-            .expect("schedule resumed completion");
-        st.completion_ev = Some(ev);
-    }
+    done.into_iter()
+        .map(|d| d.expect("all tasks complete when the calendar drains"))
+        .collect()
 }
 
 /// A multi-job workload across a homogeneous pool.

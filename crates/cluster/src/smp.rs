@@ -11,27 +11,22 @@
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;
 use nds_des::resource::MultiFacility;
-use nds_des::{Engine, EventId, Request, RequestId, RequestOutcome, SimTime};
+use nds_des::{Calendar, Request, RequestId, RequestOutcome, SimTime};
 use nds_stats::rng::Xoshiro256StarStar;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 const OWNER_PRIORITY: i32 = 10;
 const TASK_PRIORITY: i32 = 0;
-const TASK_REQ: RequestId = 0;
-const OWNER_BASE: RequestId = 1 << 32;
+/// The task's request id. Owner stream `k` submits as id `k`: each
+/// stream has at most one burst in service or queued at a time.
+const TASK_REQ: RequestId = RequestId::MAX;
 
-struct SmpState {
-    facility: MultiFacility,
-    owners: Vec<OwnerWorkload>,
-    rng: Xoshiro256StarStar,
-    task_completion: Option<EventId>,
-    task_done: Option<SimTime>,
-    interruptions: u64,
-    next_owner_req: RequestId,
-    /// Which owner stream issued each live owner request. Ordered map
-    /// so any future iteration over live requests stays deterministic.
-    req_owner: std::collections::BTreeMap<RequestId, usize>,
+/// The machine's events, by owner stream index. Only `TaskDone` is ever
+/// cancelled (by a preempting owner burst), so owner events are posted.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    TaskDone,
+    OwnerArrival(usize),
+    OwnerDone(usize),
 }
 
 /// A workstation with `cpus` identical CPUs, one parallel task, and one
@@ -68,167 +63,106 @@ impl SmpWorkstation {
             task_demand > 0.0 && task_demand.is_finite(),
             "task demand must be finite and > 0"
         );
-        let mut engine = Engine::new();
-        let state = Rc::new(RefCell::new(SmpState {
-            facility: MultiFacility::new("smp", self.cpus),
-            owners: self.owners.clone(),
-            rng: Xoshiro256StarStar::new(rng.next()),
-            task_completion: None,
-            task_done: None,
-            interruptions: 0,
-            next_owner_req: OWNER_BASE,
-            req_owner: std::collections::BTreeMap::new(),
-        }));
+        let owners = &self.owners;
+        let mut rng = Xoshiro256StarStar::new(rng.next());
+        let mut cpus = MultiFacility::new("smp", self.cpus);
+        let mut cal = Calendar::with_capacity(owners.len() + 1);
 
-        // Submit the task.
-        {
-            let mut guard = state.borrow_mut();
-            let st = &mut *guard;
-            let (outcome, _) = st
-                .facility
-                .submit(
-                    SimTime::ZERO,
-                    Request {
-                        id: TASK_REQ,
-                        priority: TASK_PRIORITY,
-                        demand: task_demand,
-                    },
-                )
-                .expect("fresh facility accepts the task");
-            let RequestOutcome::Started { completion } = outcome else {
-                unreachable!("empty facility starts immediately");
-            };
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| smp_task_complete(e, &sc))
-                .expect("schedule task completion");
-            st.task_completion = Some(ev);
+        // Submit the task, then start one arrival process per owner.
+        let (outcome, _) = cpus
+            .submit(
+                SimTime::ZERO,
+                Request {
+                    id: TASK_REQ,
+                    priority: TASK_PRIORITY,
+                    demand: task_demand,
+                },
+            )
+            .expect("fresh facility accepts the task");
+        let RequestOutcome::Started { completion } = outcome else {
+            unreachable!("empty facility starts immediately");
+        };
+        let mut task_ev = Some(
+            cal.schedule(completion, Ev::TaskDone)
+                .expect("schedule task completion"),
+        );
+        for (k, owner) in owners.iter().enumerate() {
+            cal.post(
+                SimTime::new(owner.sample_think(&mut rng)),
+                Ev::OwnerArrival(k),
+            )
+            .expect("schedule first owner arrival");
         }
-        // One arrival process per owner.
-        for owner_idx in 0..self.owners.len() {
-            let think = {
-                let mut guard = state.borrow_mut();
-                let st = &mut *guard;
-                st.owners[owner_idx].sample_think(&mut st.rng)
-            };
-            let sc = state.clone();
-            engine
-                .schedule(SimTime::new(think), move |e| {
-                    smp_owner_arrival(e, &sc, owner_idx)
-                })
-                .expect("schedule first owner arrival");
-        }
-        engine.run_to_quiescence(None);
 
-        let st = state.borrow();
-        let done = st
-            .task_done
-            .expect("task completes once the calendar drains")
-            .as_f64();
+        let mut done = None;
+        let mut interruptions = 0;
+        while let Some((now, ev)) = cal.pop() {
+            match ev {
+                Ev::OwnerArrival(_) if done.is_some() => {}
+                Ev::OwnerArrival(k) => {
+                    let demand = owners[k].sample_service(&mut rng);
+                    let (outcome, preempted) = cpus
+                        .submit(
+                            now,
+                            Request {
+                                id: k as RequestId,
+                                priority: OWNER_PRIORITY,
+                                demand,
+                            },
+                        )
+                        .expect("owner demand positive");
+                    if preempted.is_some() {
+                        interruptions += 1;
+                        if let Some(handle) = task_ev.take() {
+                            cal.cancel(handle);
+                        }
+                    }
+                    // A queued burst (every CPU holds an owner) gets its
+                    // completion when a finishing burst promotes it.
+                    if let RequestOutcome::Started { completion } = outcome {
+                        cal.post(completion, Ev::OwnerDone(k))
+                            .expect("schedule owner completion");
+                    }
+                }
+                Ev::OwnerDone(k) => {
+                    let promoted = cpus
+                        .complete(now, k as RequestId)
+                        .expect("owner burst was in service");
+                    match promoted {
+                        Some((TASK_REQ, completion)) => {
+                            task_ev = Some(
+                                cal.schedule(completion, Ev::TaskDone)
+                                    .expect("schedule resumed task"),
+                            );
+                        }
+                        Some((id, completion)) => {
+                            cal.post(completion, Ev::OwnerDone(id as usize))
+                                .expect("schedule promoted owner completion");
+                        }
+                        None => {}
+                    }
+                    // The finishing burst's owner starts thinking again.
+                    if done.is_none() {
+                        let think = owners[k].sample_think(&mut rng);
+                        cal.post_in(SimTime::new(think), Ev::OwnerArrival(k))
+                            .expect("schedule next owner arrival");
+                    }
+                }
+                Ev::TaskDone => {
+                    cpus.complete(now, TASK_REQ).expect("task was in service");
+                    done = Some(now.as_f64());
+                }
+            }
+        }
+
+        let done = done.expect("task completes once the calendar drains");
         TaskOutcome {
             execution_time: done,
             demand: task_demand,
-            interruptions: st.interruptions,
+            interruptions,
             suspended_time: done - task_demand,
         }
     }
-}
-
-fn smp_owner_arrival(engine: &mut Engine, state: &Rc<RefCell<SmpState>>, owner_idx: usize) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.task_done.is_some() {
-        return;
-    }
-    let demand = st.owners[owner_idx].sample_service(&mut st.rng);
-    let id = st.next_owner_req;
-    st.next_owner_req += 1;
-    st.req_owner.insert(id, owner_idx);
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand positive");
-    if preempted.is_some() {
-        st.interruptions += 1;
-        if let Some(ev) = st.task_completion.take() {
-            engine.cancel(ev);
-        }
-    }
-    match outcome {
-        RequestOutcome::Started { completion } => {
-            let sc = state.clone();
-            drop(guard);
-            engine
-                .schedule(completion, move |e| smp_owner_complete(e, &sc, id))
-                .expect("schedule owner completion");
-        }
-        RequestOutcome::Queued => {
-            // All CPUs hold owners already; this burst waits its turn.
-            // Its completion event is scheduled when a completion
-            // handler promotes it out of the queue.
-        }
-    }
-}
-
-fn smp_owner_complete(engine: &mut Engine, state: &Rc<RefCell<SmpState>>, id: RequestId) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let owner_idx = st
-        .req_owner
-        .remove(&id)
-        .expect("every owner request is tracked");
-    let promoted = st
-        .facility
-        .complete(now, id)
-        .expect("owner burst was in service");
-    if let Some((rid, completion)) = promoted {
-        if rid == TASK_REQ {
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| smp_task_complete(e, &sc))
-                .expect("schedule resumed task");
-            st.task_completion = Some(ev);
-        } else {
-            // A queued owner burst reaches a server; schedule its
-            // completion (its stream is recovered from req_owner then).
-            let sc = state.clone();
-            engine
-                .schedule(completion, move |e| smp_owner_complete(e, &sc, rid))
-                .expect("schedule promoted owner completion");
-        }
-    }
-    // The finishing burst's owner starts thinking again.
-    if st.task_done.is_none() {
-        let think = st.owners[owner_idx].sample_think(&mut st.rng);
-        let sc = state.clone();
-        drop(guard);
-        engine
-            .schedule(now + SimTime::new(think), move |e| {
-                smp_owner_arrival(e, &sc, owner_idx)
-            })
-            .expect("schedule next owner arrival");
-    }
-}
-
-fn smp_task_complete(engine: &mut Engine, state: &Rc<RefCell<SmpState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    st.facility
-        .complete(now, TASK_REQ)
-        .expect("task was in service");
-    st.task_completion = None;
-    st.task_done = Some(now);
-    let _ = engine;
 }
 
 #[cfg(test)]

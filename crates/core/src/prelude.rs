@@ -15,8 +15,8 @@ pub use crate::error::CoreError;
 pub use crate::report::Table;
 pub use crate::scenario::Scenario;
 pub use crate::sim::{
-    closed, periodic, poisson, single_job, Backend, Flight, JobShape, OpenArrivals,
-    Report as SimReport, Sim, SimError, Workload as SimWorkload,
+    closed, periodic, poisson, single_job, Flight, JobShape, OpenArrivals, Report as SimReport,
+    Sim, SimError, Workload as SimWorkload,
 };
 pub use crate::sweep::parallel_map;
 

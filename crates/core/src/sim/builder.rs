@@ -20,61 +20,27 @@
 //!
 //! # Lowering
 //!
-//! `run()` lowers the description to one of two engines:
-//!
-//! * the **cluster runner** ([`nds_cluster::job::JobRunner`]) when the
-//!   configuration is *degenerate* — a homogeneous pool, one closed job
-//!   with one task per station, suspend-resume eviction, nothing fenced
-//!   by admission control. This is the paper's exact model, and by the
-//!   workspace's degenerate-equivalence invariant it reproduces the
-//!   scheduler engine's job times bit-for-bit at a fraction of the
-//!   cost;
-//! * the **scheduler engine** ([`nds_sched`]) for everything else:
-//!   multi-job and open workloads, non-trivial eviction/placement,
-//!   admission thresholds.
-//!
-//! [`Backend::Sched`] forces the scheduler engine (the equivalence
-//! tests do exactly that); [`Backend::Cluster`] demands the fast path
-//! and returns [`SimError::UnsupportedBackend`] if the configuration
-//! cannot take it.
+//! `run()` lowers every description to the scheduler engine
+//! ([`nds_sched`]) through [`Sim::lower`]: closed and open workloads,
+//! every eviction/placement/gang policy, admission thresholds and
+//! failure injection. The paper's degenerate configuration — a
+//! homogeneous pool, one closed job with one task per station,
+//! suspend-resume eviction — is no special case: the engine reproduces
+//! [`nds_cluster::job::JobRunner`]'s job times bit-for-bit there (the
+//! workspace's degenerate-equivalence invariant), and reports its pool
+//! and queue gauges like any other run.
 
 use crate::sim::error::SimError;
 use crate::sim::report::{Report, ResponseStats, SteadyState};
 use crate::sim::workload::Workload;
 use crate::sweep::parallel_map;
-use nds_cluster::job::JobRunner;
 use nds_cluster::owner::OwnerWorkload;
 use nds_sched::{
-    EvictionPolicy, FailureModel, FlightRecorder, GangPolicy, GangStats, JobRecord, JobSpec,
-    NoTrace, PlacementKind, ProgressMeter, QueueDiscipline, RecordFilter, SchedConfig,
-    SchedMetrics, SchedTracer, Tee,
+    EvictionPolicy, FailureModel, FlightRecorder, GangPolicy, JobRecord, JobSpec, NoTrace,
+    PlacementKind, ProgressMeter, QueueDiscipline, RecordFilter, SchedConfig, SchedMetrics,
+    SchedTracer, Tee,
 };
 use nds_stats::batch_means::{PAPER_BATCHES, PAPER_CONFIDENCE};
-
-/// Which engine executes the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Pick automatically: the cluster runner for degenerate closed
-    /// configurations, the scheduler engine otherwise.
-    #[default]
-    Auto,
-    /// Force the closed-form cluster runner (errors if the
-    /// configuration is not degenerate).
-    Cluster,
-    /// Force the scheduler engine.
-    Sched,
-}
-
-impl Backend {
-    /// Stable name for error messages and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Cluster => "cluster",
-            Self::Sched => "sched",
-        }
-    }
-}
 
 /// Owner populations accepted by [`SimBuilder::owners`]: one workload
 /// shared by the whole pool, or one per machine.
@@ -116,7 +82,6 @@ impl From<&[OwnerWorkload]> for OwnerSpec {
 pub struct Sim {
     workstations: u32,
     owners: Vec<OwnerWorkload>,
-    homogeneous: bool,
     placement: PlacementKind,
     eviction: EvictionPolicy,
     gang: GangPolicy,
@@ -128,7 +93,6 @@ pub struct Sim {
     seed: u64,
     replications: u64,
     max_events: u64,
-    backend: Backend,
     confidence: f64,
     batches: usize,
     shards: usize,
@@ -195,7 +159,6 @@ impl Sim {
             seed: 0x5EED,
             replications: 1,
             max_events: 20_000_000,
-            backend: Backend::Auto,
             confidence: PAPER_CONFIDENCE,
             batches: PAPER_BATCHES,
             shards: 1,
@@ -262,94 +225,14 @@ impl Sim {
         }
     }
 
-    /// Whether `jobs` makes this the paper's degenerate configuration,
-    /// eligible for the closed-form cluster runner: homogeneous owners,
-    /// one job at time zero with exactly one task per station,
-    /// suspend-resume eviction, and no admission fencing.
-    fn is_degenerate(&self, jobs: &[JobSpec]) -> bool {
-        self.homogeneous
-            && !self.workload.is_open()
-            && jobs.len() == 1
-            && jobs[0].arrival == 0.0
-            && jobs[0].tasks == self.workstations
-            && self.eviction == EvictionPolicy::SuspendResume
-            && !self.gang.is_on()
-            && self.failures.is_none()
-            && self.admission_threshold >= 1.0
-    }
-
-    /// Run one replication on the cluster runner and express the
-    /// result in the unified metrics vocabulary. Valid only for
-    /// degenerate configurations (suspend-resume never wastes work, so
-    /// delivered CPU equals the job demand exactly).
-    fn run_cluster(&self, jobs: &[JobSpec], replication: u64) -> SchedMetrics {
-        let spec = jobs[0];
-        let result = JobRunner::new(self.seed).run_continuous_job(
-            &self.owners[0],
-            spec.task_demand,
-            spec.tasks,
-            replication,
-        );
-        let makespan = result.job_time();
-        let total_demand = spec.total_demand();
-        let interruptions = result.total_interruptions();
-        SchedMetrics {
-            makespan,
-            delivered: total_demand,
-            goodput: total_demand,
-            wasted: 0.0,
-            checkpoint_overhead: 0.0,
-            evictions: interruptions,
-            suspensions: interruptions,
-            restarts: 0,
-            migrations: 0,
-            completed_tasks: u64::from(spec.tasks),
-            total_demand,
-            placements: u64::from(spec.tasks),
-            mean_queue_wait: 0.0,
-            // The closed-form runner has no pool to gauge: every
-            // station is pinned to its task for the whole run.
-            mean_available_machines: 0.0,
-            gang: GangStats::default(),
-            jobs: vec![JobRecord {
-                arrival: 0.0,
-                completion: makespan,
-                demand: total_demand,
-            }],
-            crashes: 0,
-            crash_lost: 0.0,
-            downtime: 0.0,
-            crashes_by_machine: Vec::new(),
-        }
-    }
-
-    /// Execute one replication on the backend the configuration
-    /// resolves to. Returns the run's metrics plus, for streamed runs
-    /// only, the post-warmup response times collected at the sink (the
+    /// Execute one replication on the scheduler engine. Returns the
+    /// run's metrics plus, for streamed runs only, the post-warmup response times collected at the sink (the
     /// streamed engine does not materialize `metrics.jobs`).
     fn run_one(&self, replication: u64) -> Result<(SchedMetrics, Option<Vec<f64>>), SimError> {
         let cfg = if self.stream_chunk > 0 {
             self.lower_with_jobs(Vec::new(), replication)
         } else {
-            let jobs = self.workload.generate(self.seed, replication)?;
-            let degenerate = self.is_degenerate(&jobs);
-            match self.backend {
-                Backend::Cluster if !degenerate => {
-                    return Err(SimError::UnsupportedBackend {
-                        backend: "cluster",
-                        reason: "the closed-form runner serves only the degenerate \
-                                 configuration (homogeneous pool, one closed job with \
-                                 one task per station, suspend-resume eviction, no gang \
-                                 policy, no failure model, admission threshold >= 1)"
-                            .into(),
-                    })
-                }
-                Backend::Cluster => return Ok((self.run_cluster(&jobs, replication), None)),
-                Backend::Auto if degenerate => {
-                    return Ok((self.run_cluster(&jobs, replication), None))
-                }
-                Backend::Auto | Backend::Sched => self.lower_with_jobs(jobs, replication),
-            }
+            self.lower(replication)?
         };
         let warmup = self.workload.warmup_jobs();
         let mut responses = Vec::new();
@@ -460,11 +343,9 @@ impl Sim {
     /// Run every replication under the flight recorder and return one
     /// [`Flight`] per replication, in replication order.
     ///
-    /// Tracing always lowers to the scheduler engine — the closed-form
-    /// cluster runner has no event loop to observe — so a degenerate
-    /// configuration's traced metrics still match its untraced run
-    /// bit-for-bit (by the workspace's degenerate-equivalence
-    /// invariant). With [`SimBuilder::stream_chunk`] set the traced
+    /// The recorder only observes, so every replication's traced
+    /// metrics match its untraced run bit-for-bit. With
+    /// [`SimBuilder::stream_chunk`] set the traced
     /// run streams too, in bounded job memory: its exports are
     /// byte-identical to the materialized trace of the same jobs, and
     /// only `metrics.jobs` stays empty. Like [`Sim::run`], replications
@@ -536,7 +417,6 @@ pub struct SimBuilder {
     seed: u64,
     replications: u64,
     max_events: u64,
-    backend: Backend,
     confidence: f64,
     batches: usize,
     shards: usize,
@@ -600,9 +480,7 @@ impl SimBuilder {
     /// checkpointed progress survives, rolled back to the last durable
     /// checkpoint), destroys any suspended-in-place guest's progress,
     /// routes gang members through the gang reclaim path, and removes
-    /// the machine from the candidate pool until repair. Failure
-    /// injection lowers to the scheduler engine (the closed-form
-    /// cluster runner has no machines to crash).
+    /// the machine from the candidate pool until repair.
     #[must_use]
     pub fn failures(mut self, model: FailureModel) -> Self {
         self.failures = Some(model);
@@ -660,13 +538,6 @@ impl SimBuilder {
         self
     }
 
-    /// Force a specific execution engine (default: automatic).
-    #[must_use]
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Confidence level of the steady-state interval (default: the
     /// paper's 90%).
     #[must_use]
@@ -706,10 +577,8 @@ impl SimBuilder {
     /// Emit a live progress heartbeat on stderr every `every` host
     /// seconds: events handled, events/sec, the sim clock (with % of
     /// the arrival horizon and an ETA when the workload schedules
-    /// arrivals), and which event classes moved. Runs lower to the
-    /// scheduler engine (the closed-form runner has no event loop to
-    /// observe); simulation outputs are bit-identical with or without
-    /// the heartbeat.
+    /// arrivals), and which event classes moved. Simulation outputs are
+    /// bit-identical with or without the heartbeat.
     #[must_use]
     pub fn progress(mut self, every: f64) -> Self {
         self.progress_every = Some(every);
@@ -754,8 +623,8 @@ impl SimBuilder {
     /// replay tests), with one caveat: streamed runs deliver per-job
     /// records through the internal sink, so `Report::runs[..].jobs`
     /// stays empty (response statistics and steady state are
-    /// unaffected). Streaming requires the scheduler engine and is
-    /// incompatible with gang policies. It combines with
+    /// unaffected). Streaming is incompatible with gang policies. It
+    /// combines with
     /// [`SimBuilder::progress`] (beats then carry no horizon
     /// percentage, since the last arrival is not known up front) and
     /// with [`Sim::run_flight`], which streams as well.
@@ -781,14 +650,14 @@ impl SimBuilder {
                 reason: "pool needs at least one machine".into(),
             });
         }
-        let (owners, homogeneous) = match self.owners {
+        let owners = match self.owners {
             None => {
                 return Err(SimError::InvalidPool {
                     field: "owners",
                     reason: "no owner workload configured: call .owners(...)".into(),
                 })
             }
-            Some(OwnerSpec::Homogeneous(owner)) => (vec![owner; self.workstations as usize], true),
+            Some(OwnerSpec::Homogeneous(owner)) => vec![owner; self.workstations as usize],
             Some(OwnerSpec::PerMachine(owners)) => {
                 if owners.len() != self.workstations as usize {
                     return Err(SimError::InvalidPool {
@@ -800,7 +669,7 @@ impl SimBuilder {
                         ),
                     });
                 }
-                (owners, false)
+                owners
             }
         };
         let workload = self.workload.ok_or(SimError::MissingWorkload)?;
@@ -881,28 +750,17 @@ impl SimBuilder {
                 ),
             });
         }
-        if self.stream_chunk > 0 {
-            if self.gang.is_on() {
-                return Err(SimError::InvalidPolicy {
-                    field: "gang",
-                    reason: "gang scheduling needs the whole job set resident and \
-                             cannot combine with .stream_chunk(...)"
-                        .into(),
-                });
-            }
-            if self.backend == Backend::Cluster {
-                return Err(SimError::UnsupportedBackend {
-                    backend: "cluster",
-                    reason: "streamed runs execute on the scheduler engine; drop \
-                             .stream_chunk(...) or use Backend::Auto / Backend::Sched"
-                        .into(),
-                });
-            }
+        if self.stream_chunk > 0 && self.gang.is_on() {
+            return Err(SimError::InvalidPolicy {
+                field: "gang",
+                reason: "gang scheduling needs the whole job set resident and \
+                         cannot combine with .stream_chunk(...)"
+                    .into(),
+            });
         }
         Ok(Sim {
             workstations: self.workstations,
             owners,
-            homogeneous,
             placement: self.placement,
             eviction: self.eviction,
             gang: self.gang,
@@ -914,7 +772,6 @@ impl SimBuilder {
             seed: self.seed,
             replications: self.replications,
             max_events: self.max_events,
-            backend: self.backend,
             confidence: self.confidence,
             batches: self.batches,
             shards: self.shards,
@@ -945,53 +802,19 @@ mod tests {
 
     #[test]
     fn degenerate_auto_matches_forced_sched_engine() {
-        let build = |backend| {
-            Sim::pool(6)
-                .owners(owner(0.10))
-                .workload(single_job(6, 250.0))
-                .seed(11)
-                .backend(backend)
-                .run()
-                .unwrap()
-        };
-        let auto = build(Backend::Auto);
-        let sched = build(Backend::Sched);
-        let cluster = build(Backend::Cluster);
-        assert_eq!(auto.mean_makespan(), sched.mean_makespan());
-        assert_eq!(auto.mean_makespan(), cluster.mean_makespan());
-        assert_eq!(
-            auto.runs[0].jobs[0].response_time(),
-            sched.runs[0].jobs[0].response_time()
-        );
-        assert_eq!(auto.runs[0].evictions, sched.runs[0].evictions);
-        assert!(auto.is_consistent() && sched.is_consistent());
-    }
-
-    #[test]
-    fn cluster_backend_rejects_non_degenerate_configs() {
-        let base = || Sim::pool(4).owners(owner(0.10)).backend(Backend::Cluster);
-        // Two jobs: not degenerate.
-        let err = base()
-            .workload(closed(vec![
-                JobSpec::at_zero(4, 50.0),
-                JobSpec::at_zero(4, 50.0),
-            ]))
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
-        // Restart eviction: not degenerate.
-        let err = base()
-            .workload(single_job(4, 50.0))
-            .eviction(EvictionPolicy::Restart)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
-        // Open workload: not degenerate.
-        let err = base()
-            .workload(poisson(0.01, JobShape::new(4, 50.0)).jobs(10).warmup(0))
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
+        // The paper's degenerate configuration runs on the scheduler
+        // engine like every other one: `run()` is its lowered config.
+        let sim = Sim::pool(6)
+            .owners(owner(0.10))
+            .workload(single_job(6, 250.0))
+            .seed(11)
+            .build()
+            .unwrap();
+        let auto = sim.run().unwrap();
+        let forced = sim.lower(0).unwrap().run().unwrap();
+        assert_eq!(format!("{:?}", auto.runs[0]), format!("{forced:?}"));
+        assert!(auto.runs[0].mean_available_machines > 0.0);
+        assert!(auto.is_consistent());
     }
 
     #[test]
@@ -1029,7 +852,6 @@ mod tests {
             .owners(owner(0.10))
             .workload(closed(vec![JobSpec::at_zero(4, 60.0)]))
             .replications(3)
-            .backend(Backend::Sched)
             .run()
             .unwrap();
         assert_eq!(report.replications(), 3);
@@ -1135,7 +957,7 @@ mod tests {
     }
 
     #[test]
-    fn gang_knob_lowers_and_blocks_the_fast_path() {
+    fn gang_knob_lowers_and_rejects_bad_parameters() {
         let sim = Sim::pool(4)
             .owners(owner(0.1))
             .gang(GangPolicy::SuspendAll)
@@ -1145,15 +967,6 @@ mod tests {
             .unwrap();
         assert_eq!(sim.lower(0).unwrap().gang, GangPolicy::SuspendAll);
         assert!(sim.label().contains("gang suspend-all"));
-        // A gang policy disqualifies the closed-form cluster runner.
-        let err = Sim::pool(4)
-            .owners(owner(0.1))
-            .gang(GangPolicy::SuspendAll)
-            .workload(single_job(4, 100.0))
-            .backend(Backend::Cluster)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
         // Invalid gang parameters are typed errors.
         let err = Sim::pool(4)
             .owners(owner(0.1))
@@ -1234,7 +1047,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_knob_lowers_validates_and_blocks_the_fast_path() {
+    fn failures_knob_lowers_validates_and_reports_crashes() {
         use nds_sched::FailureModel;
         let model = FailureModel::exponential(150.0, 20.0).unwrap();
         let sim = Sim::pool(4)
@@ -1245,17 +1058,7 @@ mod tests {
             .unwrap();
         assert_eq!(sim.lower(0).unwrap().failures, Some(model));
         assert!(sim.label().contains("mtbf"), "{}", sim.label());
-        // A failure model disqualifies the closed-form cluster runner...
-        let err = Sim::pool(4)
-            .owners(owner(0.1))
-            .failures(model)
-            .workload(single_job(4, 100.0))
-            .backend(Backend::Cluster)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
-        // ...and the auto backend routes to the scheduler engine, which
-        // reports the crash-side metrics.
+        // The run reports the crash-side metrics.
         let report = Sim::pool(4)
             .owners(owner(0.1))
             .failures(FailureModel::exponential(40.0, 5.0).unwrap())
@@ -1278,8 +1081,7 @@ mod tests {
                 .owners(owner(0.12))
                 .eviction(EvictionPolicy::Restart)
                 .workload(closed(vec![JobSpec::at_zero(7, 45.0)]))
-                .seed(17)
-                .backend(Backend::Sched);
+                .seed(17);
             if with_rare_failures {
                 // So rare the horizon never reaches the first crash.
                 b = b.failures(nds_sched::FailureModel::exponential(1e12, 1.0).unwrap());
@@ -1416,8 +1218,6 @@ mod tests {
         };
         let err = base().gang(GangPolicy::SuspendAll).build().unwrap_err();
         assert!(matches!(err, SimError::InvalidPolicy { field: "gang", .. }));
-        let err = base().backend(Backend::Cluster).build().unwrap_err();
-        assert!(matches!(err, SimError::UnsupportedBackend { .. }));
         // The compatible configuration builds and runs.
         assert!(base().run().unwrap().is_consistent());
     }
@@ -1432,8 +1232,7 @@ mod tests {
             .workload(single_job(4, 80.0))
             .run()
             .unwrap();
-        // Heterogeneous => never the cluster fast path; the pool gauge
-        // is only maintained by the scheduler engine.
+        // The engine gauges the pool for every configuration.
         assert!(report.runs[0].mean_available_machines > 0.0);
         assert!(report.is_consistent());
     }

@@ -38,15 +38,6 @@ pub enum SimError {
     },
     /// The builder was run without a workload.
     MissingWorkload,
-    /// The requested backend cannot execute the configured experiment
-    /// (e.g. the closed-form cluster runner asked to serve an open
-    /// arrival stream).
-    UnsupportedBackend {
-        /// Which backend was requested.
-        backend: &'static str,
-        /// Why it cannot serve this configuration.
-        reason: String,
-    },
     /// The scheduler engine rejected or aborted the lowered run.
     Sched(SchedError),
     /// The cluster substrate rejected the lowered run.
@@ -73,9 +64,6 @@ impl fmt::Display for SimError {
                     f,
                     "no workload configured: call .workload(...) before .run()"
                 )
-            }
-            Self::UnsupportedBackend { backend, reason } => {
-                write!(f, "backend {backend} cannot run this experiment: {reason}")
             }
             Self::Sched(e) => write!(f, "scheduler engine: {e}"),
             Self::Cluster(e) => write!(f, "cluster substrate: {e}"),
@@ -127,11 +115,6 @@ mod tests {
             reason: "NaN not finite > 0".into(),
         };
         assert!(e.to_string().contains("rate"));
-        let e = SimError::UnsupportedBackend {
-            backend: "cluster",
-            reason: "open arrivals".into(),
-        };
-        assert!(e.to_string().contains("cluster"));
         assert!(SimError::MissingWorkload.to_string().contains("workload"));
     }
 

@@ -11,7 +11,7 @@
 //! * the [`Sim`] builder — pool size, owner populations, placement /
 //!   eviction / gang-scheduling / queue policies, seeds and
 //!   replications (optionally sharded across scoped threads), lowered
-//!   automatically to the cluster runner or the scheduler engine;
+//!   to the scheduler engine;
 //! * a unified [`Report`] — engine metrics per replication plus
 //!   per-job response-time statistics, with the paper's batch-means
 //!   steady-state procedure for open systems.
@@ -40,7 +40,7 @@ pub mod report;
 pub mod trace;
 pub mod workload;
 
-pub use builder::{Backend, Flight, OwnerSpec, Sim, SimBuilder};
+pub use builder::{Flight, OwnerSpec, Sim, SimBuilder};
 pub use error::SimError;
 pub use report::{Report, ResponseStats, SteadyState};
 pub use trace::{SyntheticTrace, TraceWorkload};

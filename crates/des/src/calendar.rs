@@ -1,13 +1,13 @@
-//! The typed event calendar: the zero-allocation sibling of
-//! [`crate::engine::Engine`].
+//! The typed event calendar: the workspace's one discrete-event
+//! substrate.
 //!
 //! [`Calendar<E>`] stores plain event *values* instead of boxed
 //! closures. Each heap entry packs the `(time, seq)` ordering key into
 //! one integer and carries its payload inline; cancellable events are
 //! additionally backed by a generation slab addressed by
 //! [`EventHandle`]s, while fire-and-forget events ([`Calendar::post`])
-//! skip the slab entirely. That buys the hot path three things the
-//! closure calendar cannot offer:
+//! skip the slab entirely. That buys the hot path three things a
+//! calendar of boxed closures cannot offer:
 //!
 //! * **no per-event heap allocation** — scheduling an event reuses a
 //!   slab slot and pushes a `Copy` entry onto the heap; once the heap
@@ -22,12 +22,13 @@
 //!   state directly (`&mut Sim`) instead of threading it through
 //!   `Rc<RefCell<..>>` captures.
 //!
-//! Ordering is identical to the closure engine: earliest time first,
-//! ties broken by insertion sequence number, which keeps runs
-//! bit-for-bit deterministic. The two calendars deliberately coexist —
-//! `Engine` remains the ergonomic choice for doc examples and
-//! ad-hoc models, `Calendar<E>` is the substrate for engines with a
-//! closed event vocabulary (see `nds-sched`'s `SchedEvent`).
+//! Ordering is earliest time first, ties broken by insertion sequence
+//! number (shared by [`Calendar::schedule`], [`Calendar::post`] and
+//! [`Calendar::schedule_sorted`]), which keeps runs bit-for-bit
+//! deterministic. A model is a closed event enum plus a
+//! `while let Some((now, ev)) = cal.pop()` loop that owns its state in
+//! locals (see `nds-sched`'s `SchedEvent`, or `nds-cluster`'s
+//! continuous-time simulators for the smallest examples).
 
 use crate::error::DesError;
 use crate::time::SimTime;
@@ -82,8 +83,7 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
-// BinaryHeap is a max-heap; invert the ordering to pop earliest first,
-// exactly as the closure engine does.
+// BinaryHeap is a max-heap; invert the ordering to pop earliest first.
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.cmp(&self.key)

@@ -9,8 +9,8 @@
 //!
 //! The facility is a pure state machine: every operation takes the
 //! current time and returns what changed, and the caller (the cluster
-//! simulator) schedules or cancels completion events on the
-//! [`crate::engine::Engine`]. That keeps ownership simple — no interior
+//! simulator) schedules or cancels completion events on its
+//! [`crate::Calendar`]. That keeps ownership simple — no interior
 //! mutability — and makes the scheduler unit-testable without an engine.
 //!
 //! Preempted work is resumed (not restarted): remaining demand is

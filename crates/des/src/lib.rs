@@ -5,20 +5,19 @@
 //! from-scratch Rust substrate that fills that role for the whole
 //! workspace:
 //!
-//! * [`engine::Engine`] — the closure calendar + simulation clock;
-//!   schedule boxed closures ([`engine::Engine::schedule`]), run to a
-//!   horizon or to quiescence — the ergonomic engine for doc examples
-//!   and ad-hoc models,
-//! * [`calendar::Calendar`] — the typed, zero-allocation calendar:
-//!   plain event values in a slab with generation-counted handles, no
-//!   per-event boxing and no hash-set cancellation bookkeeping — the
-//!   substrate for hot-path engines with a closed event vocabulary
-//!   (see the two-calendar design notes on [`calendar`]),
+//! * [`calendar::Calendar`] — the typed, zero-allocation event
+//!   calendar and simulation clock: plain event values in a slab with
+//!   generation-counted handles, no per-event boxing and no hash-set
+//!   cancellation bookkeeping. Every engine in the workspace is a
+//!   `while let Some((now, ev)) = cal.pop()` loop over its own closed
+//!   event enum (`nds-sched`'s `SchedEvent`, and the private enums of
+//!   `nds-cluster`'s continuous-time, multi-job and SMP simulators),
 //! * [`facility::Facility`] — a CSIM-style service facility with
 //!   **preemptive-priority** scheduling, the exact discipline the paper
 //!   assumes ("when an owner process starts execution an executing
 //!   parallel task is suspended and the owner process is immediately
-//!   started"),
+//!   started"), and [`resource::MultiFacility`], its `k`-server
+//!   generalization for multiprocessor workstations,
 //! * [`monitor::Monitor`] — time-weighted and tally statistics collected
 //!   during a run,
 //! * [`registry::MetricsRegistry`] — named counters/gauges with
@@ -27,7 +26,7 @@
 //! * [`trace`] — the zero-cost [`trace::Tracer`] hook trait threaded
 //!   through [`calendar::Calendar`] (disabled by default via the
 //!   zero-sized [`trace::NoTrace`], which monomorphizes the hooks
-//!   away), plus the [`trace::TraceLog`] debugging ring buffer.
+//!   away).
 //!
 //! Unlike CSIM the engine is event-driven rather than process-oriented
 //! (no coroutines), which keeps it deterministic, allocation-light, and
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod calendar;
-pub mod engine;
 pub mod error;
 pub mod facility;
 pub mod monitor;
@@ -48,11 +46,10 @@ pub mod time;
 pub mod trace;
 
 pub use calendar::{Calendar, EventHandle};
-pub use engine::{Engine, EventId};
 pub use error::DesError;
 pub use facility::{Facility, Preempted, Request, RequestId, RequestOutcome};
 pub use monitor::Monitor;
 pub use registry::{MetricsRegistry, QuantileSketch, SeriesId, SeriesKind};
 pub use resource::MultiFacility;
 pub use time::SimTime;
-pub use trace::{CalendarProbe, NoTrace, TraceEvent, TraceLog, Tracer};
+pub use trace::{CalendarProbe, NoTrace, Tracer};

@@ -1,5 +1,5 @@
 //! Event tracing: the zero-cost [`Tracer`] hook trait wired through
-//! [`crate::Calendar`], plus the legacy [`TraceLog`] ring buffer.
+//! [`crate::Calendar`].
 //!
 //! # The `Tracer` trait
 //!
@@ -29,8 +29,6 @@
 //! owns the calendar-level vocabulary.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
-use std::fmt;
 
 /// Observer of a [`crate::Calendar`]'s event flow.
 ///
@@ -133,100 +131,6 @@ impl<E> Tracer<E> for CalendarProbe {
     }
 }
 
-/// One traced occurrence inside a simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Component that emitted it (e.g. `"ws-3"`).
-    pub source: String,
-    /// What happened (e.g. `"owner preempts task"`).
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>12}] {}: {}", self.time, self.source, self.message)
-    }
-}
-
-/// A bounded ring buffer of trace events — the free-form, string-y
-/// debugging log (the structured, typed path is the [`Tracer`] trait).
-/// Disabled logs (capacity 0) cost one branch per emit.
-#[derive(Debug, Clone)]
-pub struct TraceLog {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    emitted: u64,
-}
-
-impl TraceLog {
-    /// A log retaining the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            emitted: 0,
-        }
-    }
-
-    /// A log that records nothing (but still counts emissions).
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Whether events are being retained.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Emit an event.
-    pub fn emit(&mut self, time: SimTime, source: impl Into<String>, message: impl Into<String>) {
-        self.emitted += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(TraceEvent {
-            time,
-            source: source.into(),
-            message: message.into(),
-        });
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total events ever emitted (including dropped ones).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Render the retained events as lines.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,47 +138,6 @@ mod tests {
 
     fn t(v: f64) -> SimTime {
         SimTime::new(v)
-    }
-
-    #[test]
-    fn retains_in_order() {
-        let mut tr = TraceLog::new(10);
-        tr.emit(t(1.0), "a", "one");
-        tr.emit(t(2.0), "b", "two");
-        let msgs: Vec<_> = tr.events().map(|e| e.message.clone()).collect();
-        assert_eq!(msgs, vec!["one", "two"]);
-        assert_eq!(tr.len(), 2);
-        assert!(!tr.is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut tr = TraceLog::new(3);
-        for i in 0..5 {
-            tr.emit(t(i as f64), "s", format!("m{i}"));
-        }
-        let msgs: Vec<_> = tr.events().map(|e| e.message.clone()).collect();
-        assert_eq!(msgs, vec!["m2", "m3", "m4"]);
-        assert_eq!(tr.emitted(), 5);
-    }
-
-    #[test]
-    fn disabled_log_counts_only() {
-        let mut tr = TraceLog::disabled();
-        assert!(!tr.is_enabled());
-        tr.emit(t(0.0), "s", "m");
-        assert_eq!(tr.emitted(), 1);
-        assert!(tr.is_empty());
-    }
-
-    #[test]
-    fn dump_formats_lines() {
-        let mut tr = TraceLog::new(4);
-        tr.emit(t(1.5), "ws-0", "owner preempts task");
-        let dump = tr.dump();
-        assert!(dump.contains("ws-0"));
-        assert!(dump.contains("owner preempts task"));
-        assert!(dump.contains("1.5"));
     }
 
     #[test]

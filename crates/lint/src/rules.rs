@@ -40,8 +40,15 @@ pub const HOT_FILES: [&str; 3] = ["calendar.rs", "simulator.rs", "pool.rs"];
 /// with cold modules elsewhere (the flight recorder and the des crate
 /// both have a `trace.rs`). `core/src/sim/trace.rs` hosts the
 /// synthetic-trace sampler and `sched/src/feed.rs` the chunked job
-/// feed, both on the streamed-replay refill path.
-pub const HOT_PATH_SUFFIXES: [&str; 2] = ["core/src/sim/trace.rs", "sched/src/feed.rs"];
+/// feed, both on the streamed-replay refill path; the three cluster
+/// modules are the continuous-time, multi-job and SMP event loops.
+pub const HOT_PATH_SUFFIXES: [&str; 5] = [
+    "core/src/sim/trace.rs",
+    "sched/src/feed.rs",
+    "cluster/src/continuous.rs",
+    "cluster/src/multi.rs",
+    "cluster/src/smp.rs",
+];
 
 /// Functions in hot modules that run at setup time, not per event.
 /// Allocation there is fine without an allow.

@@ -43,7 +43,6 @@ fn main() {
             .owners(&owner)
             .eviction(eviction)
             .workload(closed(jobs.clone()))
-            .backend(Backend::Sched)
             .seed(0xFA17)
             .replications(5);
         if let Some(model) = failures {

@@ -46,7 +46,6 @@ fn main() {
             .owners(&owner)
             .gang(gang)
             .workload(closed(jobs.to_vec()))
-            .backend(Backend::Sched)
             .seed(0x5EED)
             .replications(5)
             .run()

@@ -9,16 +9,15 @@
 //! 3. a starved pool rescued by raising the admission threshold.
 
 use nds::cluster::{JobRunner, OwnerWorkload};
-use nds::core::sim::{closed, single_job, Backend, Sim};
+use nds::core::sim::{closed, single_job, Sim};
 use nds::sched::{EvictionPolicy, JobSpec, PlacementKind, QueueDiscipline};
 
 fn main() {
     let owner = OwnerWorkload::continuous_exponential(10.0, 0.10).unwrap();
 
     // 1. Degenerate configuration: full-size pool, one task per
-    //    machine, suspend-resume => the paper's model, bit-for-bit.
-    //    Force the scheduler engine (Backend::Auto would already take
-    //    the JobRunner fast path) to show the equivalence for real.
+    //    machine, suspend-resume => the paper's model, bit-for-bit:
+    //    the scheduler engine reproduces the JobRunner's job time.
     let w = 8;
     let demand = 300.0;
     let seed = 0x5EED;
@@ -26,7 +25,6 @@ fn main() {
         .owners(&owner)
         .workload(single_job(w, demand))
         .seed(seed)
-        .backend(Backend::Sched)
         .run()
         .unwrap();
     let baseline = JobRunner::new(seed).run_continuous_job(&owner, demand, w, 0);

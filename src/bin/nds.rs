@@ -17,8 +17,7 @@ use nds::core::conclusions::check_all_conclusions;
 use nds::core::prelude::*;
 use nds::core::report::Table;
 use nds::core::sim::{
-    closed, poisson, Backend, Flight, JobShape, Sim, SimBuilder, SimError, SyntheticTrace,
-    TraceWorkload,
+    closed, poisson, Flight, JobShape, Sim, SimBuilder, SimError, SyntheticTrace, TraceWorkload,
 };
 use nds::model::sensitivity::elasticities;
 use nds::model::solver::required_task_ratio;
@@ -397,7 +396,6 @@ fn sim_error_code(e: &SimError) -> i32 {
         | SimError::InvalidWorkload { .. }
         | SimError::InvalidPolicy { .. }
         | SimError::MissingWorkload
-        | SimError::UnsupportedBackend { .. }
         | SimError::Stats(_) => 2,
         SimError::Sched(_) | SimError::Cluster(_) => 1,
     }
@@ -505,7 +503,6 @@ fn cmd_sched(args: &[String]) -> i32 {
         .calibration(10_000.0)
         .seed(seed)
         .replications(reps)
-        .backend(Backend::Sched)
         .metrics_every(flag(args, "--metrics-every").unwrap_or(100.0))
         .workload(closed(specs));
     let builder = match obs_flags(builder, args).and_then(|b| fault_flags(b, args)) {
@@ -864,7 +861,6 @@ fn cmd_gang(args: &[String]) -> i32 {
             .calibration(10_000.0)
             .seed(seed)
             .replications(reps)
-            .backend(Backend::Sched)
             .metrics_every(flag(args, "--metrics-every").unwrap_or(100.0))
             .workload(closed(specs.clone()));
         fault_flags(obs_flags(builder, args)?, args)?
@@ -1038,9 +1034,7 @@ fn cmd_trace(args: &[String]) -> i32 {
                 let w = w_flag(sc.workstations()[0])?;
                 let (jobs, _, gap) = sc.sched_job_mix().expect("scheduler scenario");
                 let demand = sc.sched_task_demand().expect("scheduler scenario");
-                base(w)
-                    .backend(Backend::Sched)
-                    .workload(closed(JobSpec::stream(jobs, w, demand, gap)))
+                base(w).workload(closed(JobSpec::stream(jobs, w, demand, gap)))
             }
             "stream" => {
                 let sc = Scenario::OpenStream;
@@ -1060,7 +1054,6 @@ fn cmd_trace(args: &[String]) -> i32 {
                 let (jobs, size, demand, gap) = sc.gang_job_mix().expect("gang scenario");
                 base(w)
                     .gang(GangPolicy::SuspendAll)
-                    .backend(Backend::Sched)
                     .workload(closed(JobSpec::stream(jobs, size, demand, gap)))
             }
             other => {

@@ -3,8 +3,8 @@
 //!
 //! 1. **Degenerate equivalence** — a `Sim` describing the paper's
 //!    configuration (full pool, one task per station, suspend-resume)
-//!    reproduces [`JobRunner`] job times **bit-for-bit**, on every
-//!    backend the builder can lower to.
+//!    reproduces [`JobRunner`] job times **bit-for-bit**, and reports
+//!    exactly the scheduler-engine metrics of its lowered config.
 //! 2. **Thin lowering** — `Sim::lower` produces exactly the
 //!    [`SchedConfig`] a caller would have written by hand, so the
 //!    builder adds description, never behaviour.
@@ -12,7 +12,7 @@
 //!    `delivered == goodput + wasted + checkpoint_overhead`.
 
 use nds::cluster::{ContinuousWorkstation, JobRunner, OwnerWorkload};
-use nds::core::sim::{closed, poisson, single_job, Backend, JobShape, Sim};
+use nds::core::sim::{closed, poisson, single_job, JobShape, Sim};
 use nds::sched::{EvictionPolicy, JobSpec, SchedConfig};
 use nds::stats::rng::StreamFactory;
 
@@ -22,47 +22,44 @@ fn owner(u: f64) -> OwnerWorkload {
 
 #[test]
 fn degenerate_sim_reproduces_jobrunner_bit_for_bit() {
-    // The paper's configuration expressed through the builder: the
-    // scheduler engine, the closed-form fast path, and the automatic
-    // lowering must all land on JobRunner's exact job times.
-    for (seed, reps) in [(11u64, 4u64), (2024, 2)] {
-        let w = 6u32;
-        let demand = 250.0;
-        let ow = owner(0.10);
-        let run = |backend| {
-            Sim::pool(w)
-                .owners(&ow)
-                .workload(single_job(w, demand))
-                .eviction(EvictionPolicy::SuspendResume)
-                .seed(seed)
-                .replications(reps)
-                .backend(backend)
-                .run()
-                .unwrap()
-        };
-        let engine = run(Backend::Sched);
-        let fast = run(Backend::Cluster);
-        let auto = run(Backend::Auto);
+    // The paper's configuration expressed through the builder lands on
+    // JobRunner's exact job times, and reports every metric of its
+    // lowered engine run byte for byte: the pool gauge and the float
+    // sum of delivered CPU included.
+    for (w, u, demand, seed, reps) in [
+        (6u32, 0.10, 250.0, 11u64, 4u64),
+        (6, 0.10, 250.0, 2024, 2),
+        (8, 0.10, 300.0, 1, 1),
+        (12, 0.05, 300.0, 99, 1),
+    ] {
+        let ow = owner(u);
+        let sim = Sim::pool(w)
+            .owners(&ow)
+            .workload(single_job(w, demand))
+            .eviction(EvictionPolicy::SuspendResume)
+            .seed(seed)
+            .replications(reps)
+            .build()
+            .unwrap();
+        let report = sim.run().unwrap();
         let runner = JobRunner::new(seed);
         for rep in 0..reps {
             let baseline = runner.run_continuous_job(&ow, demand, w, rep).job_time();
-            let i = rep as usize;
+            let run = &report.runs[rep as usize];
             assert_eq!(
-                engine.runs[i].makespan, baseline,
-                "seed={seed} rep={rep}: scheduler engine vs JobRunner"
+                run.makespan, baseline,
+                "W={w} seed={seed} rep={rep}: Sim vs JobRunner"
             );
             assert_eq!(
-                fast.runs[i].makespan, baseline,
-                "seed={seed} rep={rep}: cluster fast path vs JobRunner"
-            );
-            assert_eq!(
-                auto.runs[i].makespan, baseline,
-                "seed={seed} rep={rep}: auto backend vs JobRunner"
-            );
-            assert_eq!(
-                engine.runs[i].jobs[0].response_time(),
+                run.jobs[0].response_time(),
                 baseline,
                 "job records carry the same times"
+            );
+            let engine = sim.lower(rep).unwrap().run().unwrap();
+            assert_eq!(
+                format!("{run:?}"),
+                format!("{engine:?}"),
+                "W={w} seed={seed} rep={rep}: Sim vs its lowered engine run"
             );
         }
     }
@@ -79,7 +76,6 @@ fn degenerate_sim_matches_per_station_workstation_paths() {
         .owners(&ow)
         .workload(single_job(w, demand))
         .seed(seed)
-        .backend(Backend::Sched)
         .replications(rep + 1)
         .run()
         .unwrap();
@@ -134,7 +130,6 @@ fn every_workload_shape_conserves_work() {
             Sim::pool(8)
                 .owners(owner(0.10))
                 .workload(single_job(8, 150.0))
-                .backend(Backend::Sched)
         }),
         Box::new(|| {
             Sim::pool(8)

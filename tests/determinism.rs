@@ -1,10 +1,9 @@
 //! Two-run identity regression for the ordered-container migration.
 //!
 //! PR 7 converted the sim-visible `HashMap`/`HashSet` state in the PVM
-//! layer (`task_host`, `mailboxes`, daemon task tables), the SMP
-//! workstation (`req_owner`), and the closure engine (`alive` /
-//! `cancelled`) to `BTreeMap`/`BTreeSet`, and moved every float
-//! comparison on the event path to `total_cmp`. These tests pin the
+//! layer (`task_host`, `mailboxes`, daemon task tables) to
+//! `BTreeMap`/`BTreeSet`, and moved every float comparison on the
+//! event path to `total_cmp`. These tests pin the
 //! guarantee that migration was made for: running the same configured
 //! experiment twice produces *identical* results, down to the last bit
 //! of every observable field. PR 10 extends the same guarantee to
@@ -13,14 +12,12 @@
 
 use nds::cluster::owner::OwnerWorkload;
 use nds::cluster::smp::SmpWorkstation;
-use nds::core::sim::{closed, Backend, Sim, SimBuilder};
-use nds::des::{Engine, SimTime};
+use nds::core::sim::{closed, Sim, SimBuilder};
+use nds::des::{Calendar, SimTime};
 use nds::pvm::lan::LanModel;
 use nds::pvm::message::{Message, MessageBuffer};
 use nds::pvm::vm::{InterferenceMode, VirtualMachine};
 use nds::sched::{EvictionPolicy, FailureModel, JobSpec};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// One scatter/compute/gather experiment over the PVM layer, returning
 /// a full transcript of everything observable: delivery times, receive
@@ -152,7 +149,6 @@ fn faulty_sim(shards: usize) -> SimBuilder {
         })
         .failures(FailureModel::exponential(90.0, 12.0).expect("valid lifetimes"))
         .workload(closed(JobSpec::stream(3, 6, 100.0, 40.0)))
-        .backend(Backend::Sched)
         .seed(0xFA11)
         .replications(4)
         .shards(shards)
@@ -182,34 +178,28 @@ fn failure_runs_two_runs_identical() {
     assert_ne!(a, c, "a different seed must change the sample path");
 }
 
-/// Heavy schedule/cancel churn through the closure engine: the lazy
-/// cancellation bookkeeping must not affect replay identity.
+/// Heavy schedule/cancel churn through the calendar: generation-counted
+/// cancellation must not affect replay identity.
 #[test]
 fn engine_cancellation_churn_identical() {
     let run = || {
-        let fired: Rc<RefCell<Vec<(f64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-        let mut e = Engine::new();
-        let mut ids = Vec::new();
-        for i in 0..200u64 {
-            let f = fired.clone();
-            let t = SimTime::new(((i * 7919) % 101) as f64);
-            ids.push(
-                e.schedule(t, move |eng| {
-                    f.borrow_mut().push((eng.now().as_f64(), i));
-                })
-                .expect("schedule"),
-            );
-        }
-        // Cancel every third event, including some already-cancelled.
-        for (i, &id) in ids.iter().enumerate() {
+        let mut cal = Calendar::new();
+        let handles: Vec<_> = (0..200u64)
+            .map(|i| {
+                let t = SimTime::new(((i * 7919) % 101) as f64);
+                cal.schedule(t, i).expect("schedule")
+            })
+            .collect();
+        // Cancel every third event, then again (a stale handle is a no-op).
+        for (i, &h) in handles.iter().enumerate() {
             if i % 3 == 0 {
-                assert!(e.cancel(id));
-                assert!(!e.cancel(id));
+                assert!(cal.cancel(h));
+                assert!(!cal.cancel(h));
             }
         }
-        e.run_to_quiescence(None);
-        let log = fired.borrow().clone();
-        log
+        std::iter::from_fn(|| cal.pop())
+            .map(|(t, i)| (t.as_f64(), i))
+            .collect::<Vec<_>>()
     };
     let a = run();
     let b = run();

@@ -1,13 +1,18 @@
-//! The event-core oracle: golden `SchedMetrics` bytes recorded from
-//! the closure-calendar engine (`nds_des::Engine`, pre-PR 5), which the
-//! typed-calendar engine (`nds_des::Calendar<SchedEvent>`) must
-//! reproduce **bit-for-bit**.
+//! The event-core oracle: golden `Debug` bytes recorded from the
+//! closure-calendar engines, which the typed-calendar engines
+//! (`nds_des::Calendar<E>`) must reproduce **bit-for-bit**.
 //!
-//! The golden file was generated by the old engine before the zero-
-//! allocation rewrite landed; every scenario's metrics are compared as
-//! `Debug` strings, and `f64`'s `Debug` prints the shortest string
-//! that round-trips, so byte equality here is bit equality of every
-//! float in every metric (including each per-job completion record).
+//! Two families of sections are pinned:
+//! * scheduler `SchedMetrics`, recorded before `nds-sched` moved onto
+//!   `Calendar<SchedEvent>`;
+//! * the continuous-time cluster simulators (`ContinuousWorkstation`,
+//!   `SmpWorkstation`, `MultiJobExperiment`), recorded before they
+//!   moved onto private `Calendar` event enums.
+//!
+//! Every section is compared as `Debug` strings, and `f64`'s `Debug`
+//! prints the shortest string that round-trips, so byte equality here
+//! is bit equality of every float in every metric (including each
+//! per-job completion record and task outcome).
 //!
 //! Regenerate (only when *intentionally* changing simulator
 //! semantics) with:
@@ -19,7 +24,12 @@
 use nds::sched::{
     EvictionPolicy, GangPolicy, JobSpec, PlacementKind, QueueDiscipline, SchedConfig,
 };
+use nds_cluster::continuous::ContinuousWorkstation;
+use nds_cluster::multi::{self, MultiJobExperiment};
 use nds_cluster::owner::OwnerWorkload;
+use nds_cluster::smp::SmpWorkstation;
+use nds_cluster::task::TaskOutcome;
+use nds_stats::rng::Xoshiro256StarStar;
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = "tests/golden/event_core_oracle.txt";
@@ -145,11 +155,83 @@ fn scenarios() -> Vec<(&'static str, SchedConfig)> {
     out
 }
 
+/// Consecutive `run_task` outcomes from one caller RNG stream.
+fn tasks(run: impl Fn(&mut Xoshiro256StarStar) -> TaskOutcome, seed: u64) -> Vec<TaskOutcome> {
+    let mut rng = Xoshiro256StarStar::new(seed);
+    (0..8).map(|_| run(&mut rng)).collect()
+}
+
+/// The cluster simulators' sections: every owner family on the
+/// single-CPU workstation, both SMP regimes (the 2-CPU/4-owner machine
+/// queues owner bursts behind each other and promotes them), and the
+/// multi-job station with simultaneous and staggered arrivals.
+fn cluster_sections() -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    for (name, owner) in [
+        ("continuous_exponential", owner(0.20)),
+        (
+            "continuous_long_jobs",
+            OwnerWorkload::with_long_jobs(2.0, 300.0, 0.2, 0.3).unwrap(),
+        ),
+        (
+            "continuous_high_variance",
+            OwnerWorkload::high_variance(10.0, 0.15, 16.0).unwrap(),
+        ),
+    ] {
+        let ws = ContinuousWorkstation::new(owner);
+        out.push((
+            name,
+            format!("{:?}", tasks(|r| ws.run_task(400.0, r), 0xC0)),
+        ));
+    }
+
+    let single = SmpWorkstation::new(1, owner(0.20));
+    let shared = SmpWorkstation::with_owners(2, vec![owner(0.30); 4]);
+    out.push((
+        "smp_1cpu_1owner",
+        format!("{:?}", tasks(|r| single.run_task(200.0, r), 0x5A)),
+    ));
+    out.push((
+        "smp_2cpu_4owners",
+        format!("{:?}", tasks(|r| shared.run_task(300.0, r), 0x5B)),
+    ));
+
+    let job = |task_demand: f64, arrival: f64| multi::JobSpec {
+        task_demand,
+        arrival,
+    };
+    for (name, jobs) in [
+        ("multi_simultaneous", vec![job(80.0, 0.0); 3]),
+        (
+            "multi_staggered",
+            vec![
+                job(120.0, 0.0),
+                job(40.0, 30.0),
+                job(60.0, 75.0),
+                job(25.0, 75.0),
+            ],
+        ),
+    ] {
+        let exp = MultiJobExperiment {
+            jobs,
+            workstations: 4,
+            owner: owner(0.20),
+            seed: 0x3B,
+        };
+        let runs: Vec<_> = (0..3).map(|rep| exp.run(rep)).collect();
+        out.push((name, format!("{runs:?}")));
+    }
+    out
+}
+
 fn render() -> String {
     let mut out = String::new();
     for (name, cfg) in scenarios() {
         let metrics = cfg.run().expect("oracle scenario completes");
         writeln!(out, "== {name}\n{metrics:?}").unwrap();
+    }
+    for (name, outcomes) in cluster_sections() {
+        writeln!(out, "== {name}\n{outcomes}").unwrap();
     }
     out
 }

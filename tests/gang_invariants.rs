@@ -28,7 +28,7 @@
 //! every equivalence claim compares the same things the same way.
 
 use nds::core::scenario::Scenario;
-use nds::core::sim::{closed, poisson, Backend, JobShape, Sim};
+use nds::core::sim::{closed, poisson, JobShape, Sim};
 use nds::sched::{
     EvictionPolicy, GangPolicy, GangStats, JobSpec, PlacementKind, QueueDiscipline, SchedConfig,
     SchedMetrics,
@@ -115,7 +115,7 @@ fn gang_policy_off_is_bit_for_bit_the_independent_engine() {
     // which the degenerate JobRunner equivalence (sched_invariants)
     // pins to the paper's model. Here: a builder run with the knob
     // explicitly off equals one that never mentions gangs, across
-    // eviction policies and backends.
+    // eviction policies.
     for eviction in [
         EvictionPolicy::SuspendResume,
         EvictionPolicy::Restart,
@@ -133,8 +133,7 @@ fn gang_policy_off_is_bit_for_bit_the_independent_engine() {
                     JobSpec::at_zero(4, 40.0),
                 ]))
                 .seed(99)
-                .replications(2)
-                .backend(Backend::Sched);
+                .replications(2);
             if with_knob {
                 sim = sim.gang(GangPolicy::Off);
             }
