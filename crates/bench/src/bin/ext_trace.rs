@@ -7,13 +7,16 @@
 //! * `ext_trace` — the full run: a 1,000-machine x 1,000,000-job
 //!   synthetic diurnal day streamed in bounded chunks, reported as
 //!   events/sec (min-time over replications) plus the scenario-sized
-//!   day, with peak RSS as the bounded-memory witness. Emits the same
-//!   JSON shape as `perf_core` (`{"name", "events", "seconds",
-//!   "best_events_per_sec"}` rows).
+//!   day and the 10,000-machine scale row, with peak RSS as the
+//!   bounded-memory witness. Emits the same JSON shape as `perf_core`
+//!   (`{"name", "events", "seconds", "best_events_per_sec"}` rows).
 //! * `ext_trace --smoke` — small check-mode run for CI: replays the
 //!   committed fixture (`tests/data/datacenter_small.csv`), verifies
 //!   the streamed run is byte-identical to the materialized run and to
-//!   a second streamed run, and checks every scenario counts events.
+//!   a second streamed run, checks that chunk size changes nothing on
+//!   a 32- and a 256-machine day (the latter large enough for the
+//!   pool's least-loaded heap, and also checked against the
+//!   materialized run), and checks every scenario counts events.
 //!
 //! The streaming path holds O(chunk + pool) job state: the feed is
 //! pulled lazily in `chunk`-sized batches and each job's record is
@@ -23,6 +26,7 @@
 // A throughput benchmark exists to read the wall clock.
 #![allow(clippy::disallowed_methods)]
 
+use nds_cluster::owner::OwnerWorkload;
 use nds_core::scenario::Scenario;
 use nds_core::sim::{SimError, SyntheticTrace, TraceWorkload, Workload};
 use nds_sched::{
@@ -45,7 +49,7 @@ struct Measurement {
 /// Lower a workload to a bare scheduler configuration around the given
 /// owner population (no gang, defaults elsewhere — the streaming
 /// engine's supported envelope).
-fn config(owners: Vec<nds_cluster::owner::OwnerWorkload>, replication: u64) -> SchedConfig {
+fn config(owners: Vec<OwnerWorkload>, replication: u64) -> SchedConfig {
     SchedConfig {
         owners,
         jobs: Vec::new(),
@@ -68,7 +72,7 @@ fn config(owners: Vec<nds_cluster::owner::OwnerWorkload>, replication: u64) -> S
 fn measure(
     name: &'static str,
     workload: &dyn Workload,
-    owners: &[nds_cluster::owner::OwnerWorkload],
+    owners: &[OwnerWorkload],
     chunk: usize,
     reps: u64,
 ) -> Result<Measurement, SimError> {
@@ -104,68 +108,104 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The full-size day: 1,000 machines x 1,000,000 jobs, sized to stay
-/// stable (offered load ~= 75% of the pool's spare capacity) so that
-/// in-flight job state — and therefore the streaming window — stays
-/// bounded: E\[tasks\]=4.5, E\[demand\]~=13 => ~680 CPU-s/s offered
-/// against ~920 spare.
-fn million_job_day() -> SyntheticTrace {
-    SyntheticTrace::datacenter(1_000, 1_000_000)
+/// The full-size day: 1,000,000 jobs on `machines` machines. On 1,000
+/// machines it is sized to stay stable (offered load ~= 75% of the
+/// pool's spare capacity) so that in-flight job state — and therefore
+/// the streaming window — stays bounded: E\[tasks\]=4.5,
+/// E\[demand\]~=13 => ~680 CPU-s/s offered against ~920 spare. On
+/// 10,000 machines the same jobs leave most of the pool free, so every
+/// placement chooses among thousands of candidates.
+fn million_job_day(machines: u32) -> SyntheticTrace {
+    SyntheticTrace::datacenter(machines, 1_000_000)
         .demands(1.5, 5.0, 500.0)
         .max_tasks(8)
+}
+
+/// Stream `workload` at `chunk` with the sink's records spliced back
+/// into the metrics, and check the result against the materialized
+/// run of the same jobs; return the streamed event count.
+fn check_materialized(
+    workload: &dyn Workload,
+    owners: &[OwnerWorkload],
+    chunk: usize,
+) -> Result<u64, String> {
+    // Streamed metrics keep `jobs` empty, so collect the per-job
+    // records through the sink before comparing.
+    let mut records = Vec::new();
+    let mut feed = workload.feed(SEED, 0).map_err(|e| e.to_string())?;
+    let (mut spliced, streamed_events) = config(owners.to_vec(), 0)
+        .run_streamed(feed.as_mut(), chunk, &mut |_, record| records.push(record))
+        .map_err(|e| e.to_string())?;
+    spliced.jobs = records;
+    let mut materialized = config(owners.to_vec(), 0);
+    materialized.jobs = workload.generate(SEED, 0).map_err(|e| e.to_string())?;
+    let (direct, direct_events) = materialized.run_counted().map_err(|e| e.to_string())?;
+    if direct != spliced || direct_events != streamed_events {
+        return Err(format!(
+            "streamed {} diverged from the materialized run",
+            workload.label()
+        ));
+    }
+    Ok(streamed_events)
+}
+
+/// Stream a synthetic day at two chunk sizes, which must give the same
+/// result (chunking is a pure execution strategy).
+fn check_chunking(
+    name: &'static str,
+    day: &SyntheticTrace,
+    chunks: [usize; 2],
+) -> Result<Measurement, String> {
+    let owners = day.owners(SEED, 0).map_err(|e| e.to_string())?;
+    let coarse = measure(name, day, &owners, chunks[0], 1).map_err(|e| e.to_string())?;
+    let fine = measure(name, day, &owners, chunks[1], 1).map_err(|e| e.to_string())?;
+    if coarse.metrics != fine.metrics || coarse.events != fine.events {
+        return Err(format!("chunk size changed the {name} result"));
+    }
+    if coarse.events == 0 {
+        return Err(format!("{name} executed no events"));
+    }
+    Ok(coarse)
 }
 
 fn smoke(fixture: &str) -> Result<(), String> {
     // 1. The committed fixture replays, streamed == materialized.
     let trace = TraceWorkload::from_path(fixture).map_err(|e| format!("{fixture}: {e}"))?;
-    let owners = vec![
-        nds_cluster::owner::OwnerWorkload::continuous_exponential(10.0, 0.10)
-            .expect("valid owner");
-        8
-    ];
+    let owners = vec![OwnerWorkload::continuous_exponential(10.0, 0.10).expect("valid owner"); 8];
     let streamed = measure("fixture_replay", &trace, &owners, 16, 1).map_err(|e| e.to_string())?;
     let again = measure("fixture_replay", &trace, &owners, 16, 1).map_err(|e| e.to_string())?;
     if streamed.metrics != again.metrics || streamed.events != again.events {
         return Err("fixture replay is not deterministic".into());
     }
-    // Byte-identity against the materialized engine: collect the
-    // streamed per-job records through the sink (streamed metrics keep
-    // `jobs` empty) and splice them back before comparing.
-    let mut records = Vec::new();
-    let mut feed = trace.feed(SEED, 0).map_err(|e| e.to_string())?;
-    let (mut spliced, streamed_events) = config(owners.clone(), 0)
-        .run_streamed(feed.as_mut(), 16, &mut |_, record| records.push(record))
-        .map_err(|e| e.to_string())?;
-    spliced.jobs = records;
-    let mut materialized = config(owners.clone(), 0);
-    materialized.jobs = trace.jobs().to_vec();
-    let (direct, direct_events) = materialized.run_counted().map_err(|e| e.to_string())?;
-    if direct != spliced || direct_events != streamed_events {
-        return Err("streamed fixture replay diverged from the materialized run".into());
-    }
+    check_materialized(&trace, &owners, 16)?;
     println!(
         "smoke fixture_replay      {:>9} events  {:>12.0} events/sec  (== materialized)",
         streamed.events, streamed.best_events_per_sec
     );
 
     // 2. A small synthetic day streams at two chunk sizes to the same
-    //    metrics (chunking is a pure execution strategy).
-    let day = SyntheticTrace::datacenter(32, 2_000);
-    let day_owners = day.owners(SEED, 0).map_err(|e| e.to_string())?;
-    let coarse =
-        measure("synthetic_small", &day, &day_owners, 1_024, 1).map_err(|e| e.to_string())?;
-    let fine = measure("synthetic_small", &day, &day_owners, 64, 1).map_err(|e| e.to_string())?;
-    if coarse.metrics != fine.metrics || coarse.events != fine.events {
-        return Err("chunk size changed the synthetic day's result".into());
-    }
-    if coarse.events == 0 {
-        return Err("synthetic day executed no events".into());
-    }
+    //    metrics.
+    let small = check_chunking(
+        "synthetic_small",
+        &SyntheticTrace::datacenter(32, 2_000),
+        [1_024, 64],
+    )?;
     println!(
         "smoke synthetic_small     {:>9} events  {:>12.0} events/sec  (chunk-invariant)",
-        coarse.events, coarse.best_events_per_sec
+        small.events, small.best_events_per_sec
     );
-    println!("ext_trace --smoke: fixture + synthetic day OK");
+
+    // 3. A pool large enough for the least-loaded heap: chunk-invariant
+    //    and equal to the materialized run.
+    let day = SyntheticTrace::datacenter(256, 4_000);
+    let large = check_chunking("synthetic_256", &day, [1_024, 64])?;
+    let owners = day.owners(SEED, 0).map_err(|e| e.to_string())?;
+    check_materialized(&day, &owners, 64)?;
+    println!(
+        "smoke synthetic_256       {:>9} events  {:>12.0} events/sec  (chunk-invariant, == materialized)",
+        large.events, large.best_events_per_sec
+    );
+    println!("ext_trace --smoke: fixture + synthetic days OK");
     Ok(())
 }
 
@@ -193,12 +233,13 @@ fn main() {
     let chunk = scenario.trace_stream_chunk().expect("trace scenario");
     rows.push(measure("scenario_day", &day, &owners, chunk, 3).expect("scenario day completes"));
 
-    // The acceptance run: 1,000 machines x 1,000,000 jobs, one pass.
-    let big = million_job_day();
-    let big_owners = big.owners(SEED, 0).expect("valid owner mix");
-    rows.push(
-        measure("datacenter_1m", &big, &big_owners, 8_192, 1).expect("million-job day completes"),
-    );
+    // The acceptance run: 1,000 machines x 1,000,000 jobs, one pass,
+    // then the scale row: the same jobs on 10,000 machines.
+    for (name, machines) in [("datacenter_1m", 1_000), ("datacenter_10k", 10_000)] {
+        let day = million_job_day(machines);
+        let day_owners = day.owners(SEED, 0).expect("valid owner mix");
+        rows.push(measure(name, &day, &day_owners, 8_192, 1).expect("million-job day completes"));
+    }
 
     println!(
         "{} — streaming trace replay (chunked feed, O(chunk + pool) memory)\n",

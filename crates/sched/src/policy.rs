@@ -69,6 +69,10 @@ impl PlacementPolicy for RoundRobinPlacement {
 
 /// Send the task to the machine with the lowest estimated owner
 /// utilization (ties broken by machine index).
+///
+/// This is the reference linear scan. The scheduler engine does not
+/// call it per task: it reads [`crate::Pool::least_loaded`], which
+/// returns the same machine from an index the pool keeps as it changes.
 #[derive(Debug, Default)]
 pub struct LeastLoadedPlacement;
 
@@ -78,14 +82,20 @@ impl PlacementPolicy for LeastLoadedPlacement {
     }
 
     fn choose(&mut self, candidates: &[CandidateMachine], _rng: &mut Xoshiro256StarStar) -> usize {
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.load_estimate < candidates[best].load_estimate {
-                best = i;
-            }
-        }
-        best
+        first_min(candidates)
     }
+}
+
+/// Index of the first candidate with the lowest load estimate — the
+/// least-loaded choice over a non-empty, machine-ordered slice.
+pub(crate) fn first_min(candidates: &[CandidateMachine]) -> usize {
+    let mut best = 0;
+    for (i, c) in candidates.iter().enumerate().skip(1) {
+        if c.load_estimate < candidates[best].load_estimate {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Value-type selector for the built-in policies, convenient for sweeps

@@ -25,8 +25,45 @@
 //! (round-robin cursors, least-loaded and random tie-breaking), so the
 //! view is byte-for-byte the list the old allocating implementation
 //! built from scratch.
+//!
+//! # Least-loaded index
+//!
+//! On a pool of at least 128 machines, [`Pool::least_loaded`] answers
+//! the least-loaded placement query without scanning the candidates:
+//! the pool also keeps them in an indexed binary min-heap (Sedgewick
+//! & Wayne, *Algorithms*, 4th ed., §2.4) keyed on `(estimate, machine)`
+//! packed into one `u128`, so the minimum is the first lowest estimate
+//! in machine order, exactly the linear scan's pick. A per-machine heap
+//! position lets an owner return, a crash, an occupancy flip or a
+//! changed estimate move or remove any machine in O(log n), with no
+//! stale entries; all upkeep happens where the candidate list changes.
+//!
+//! The heap covers the candidates, not every machine, because a busy
+//! pool has few of them. On the 1,000-machine × 1M-job synthetic day
+//! (seed 4), 75.5% of the 4.5M placements saw exactly one candidate,
+//! while the placements that saw more than 128 read 96.9% of all
+//! scanned entries. A heap over the candidates costs O(1) at the
+//! saturated peak and O(log n) in the idle trough.
+//!
+//! Two gates keep the heap off the workloads it would slow:
+//! * pools below 128 machines always scan. A small pool offers a few
+//!   candidates, which the scan reads faster than the heap is kept up:
+//!   on a 32-machine gang pool with about 4.5 candidates per placement,
+//!   an ungated heap ran 7% slower. On synthetic days under
+//!   least-loaded placement (`SyntheticTrace::datacenter(W, 300·W)`,
+//!   2-core Xeon) it gained nothing at W = 32, 5% at 64, 15% at 128,
+//!   32% at 256 and 2.7× at 1,000. The gate sits where the gain is
+//!   clear;
+//! * the heap is built on the first [`Pool::least_loaded`] call and
+//!   maintained from then on, so random and round-robin placement never
+//!   pay its upkeep. Its arrays are sized in [`Pool::new`], so neither
+//!   the build nor the upkeep allocates.
 
-use crate::policy::CandidateMachine;
+use crate::policy::{first_min, CandidateMachine};
+
+/// Pools with fewer machines answer [`Pool::least_loaded`] with the
+/// linear scan and never build the heap.
+const HEAP_MIN_MACHINES: usize = 128;
 
 /// Exponentially weighted, time-decayed estimate of one owner's
 /// utilization — the probe readings a real scheduler would gossip.
@@ -44,8 +81,13 @@ pub struct UtilizationEstimator {
 impl UtilizationEstimator {
     /// A fresh estimator with averaging window `tau` (> 0), starting
     /// from `initial` (e.g. a calibration probe, or 0 for no prior).
+    ///
+    /// # Panics
+    ///
+    /// If `tau` is not finite and positive, or `initial` is not finite.
     pub fn new(tau: f64, initial: f64) -> Self {
         assert!(tau > 0.0 && tau.is_finite(), "tau must be finite > 0");
+        assert!(initial.is_finite(), "initial estimate must be finite");
         Self {
             tau,
             estimate: initial.clamp(0.0, 1.0),
@@ -82,6 +124,128 @@ struct Member {
     estimator: UtilizationEstimator,
 }
 
+/// `(estimate, machine)` packed so that integer order is the linear
+/// scan's order: estimates are finite and non-negative, so their bits
+/// order like their values, `+ 0.0` folds `-0.0` onto `0.0` (the scan
+/// sees them as equal), and ties fall to the lower machine.
+fn load_key(estimate: f64, machine: usize) -> u128 {
+    u128::from((estimate + 0.0).to_bits()) << 32 | machine as u128
+}
+
+/// The machine a [`load_key`] was packed from.
+fn key_machine(key: u128) -> usize {
+    (key & u128::from(u32::MAX)) as usize
+}
+
+/// Indexed binary min-heap of [`load_key`]s over the candidate machines.
+#[derive(Debug, Clone, Default)]
+struct LoadHeap {
+    keys: Vec<u128>,
+    /// Each machine's slot in `keys` (meaningless for machines not in
+    /// the heap).
+    pos: Vec<u32>,
+    /// Whether `keys` mirrors the candidate list; set by the first
+    /// query, after which every candidate change updates the heap.
+    live: bool,
+}
+
+impl LoadHeap {
+    /// Empty arrays sized for `n` machines, so nothing allocates later.
+    fn with_machines(n: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(n),
+            pos: vec![0; n],
+            live: false,
+        }
+    }
+
+    /// Heapify the candidate list and start maintaining it.
+    fn build(&mut self, cand: &[CandidateMachine]) {
+        self.keys.clear();
+        for c in cand {
+            self.pos[c.machine] = self.keys.len() as u32;
+            self.keys.push(load_key(c.load_estimate, c.machine));
+        }
+        for i in (0..self.keys.len() / 2).rev() {
+            self.sift_down(i);
+        }
+        self.live = true;
+    }
+
+    fn min_machine(&self) -> usize {
+        key_machine(self.keys[0])
+    }
+
+    fn insert(&mut self, key: u128) {
+        self.keys.push(key);
+        self.sift_up(self.keys.len() - 1);
+    }
+
+    fn remove(&mut self, m: usize) {
+        let i = self.pos[m] as usize;
+        let last = self.keys.pop().expect("invariant: a machine in the heap");
+        if i < self.keys.len() {
+            self.keys[i] = last;
+            self.restore(i);
+        }
+    }
+
+    fn rekey(&mut self, key: u128) {
+        let i = self.pos[key_machine(key)] as usize;
+        self.keys[i] = key;
+        self.restore(i);
+    }
+
+    /// Move the key at slot `i` up or down to its place.
+    fn restore(&mut self, i: usize) {
+        if i > 0 && self.keys[(i - 1) / 2] > self.keys[i] {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.keys[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let above = self.keys[parent];
+            if above < key {
+                break;
+            }
+            self.place(i, above);
+            i = parent;
+        }
+        self.place(i, key);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.keys[i];
+        let n = self.keys.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            let below = self.keys[child];
+            if key < below {
+                break;
+            }
+            self.place(i, below);
+            i = child;
+        }
+        self.place(i, key);
+    }
+
+    fn place(&mut self, i: usize, key: u128) {
+        self.keys[i] = key;
+        self.pos[key_machine(key)] = i as u32;
+    }
+}
+
 /// Membership and load view of the workstation pool.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -97,6 +261,9 @@ pub struct Pool {
     /// Offerable machines (free *and* within the admission threshold),
     /// in ascending machine order, maintained incrementally.
     cand: Vec<CandidateMachine>,
+    /// The candidates again, as a least-loaded heap (empty below
+    /// [`HEAP_MIN_MACHINES`]).
+    heap: LoadHeap,
     /// Machines currently crashed — the downtime integral's integrand.
     down_count: usize,
     /// Time integral of the down-machine count (machine-time lost to
@@ -131,6 +298,11 @@ impl Pool {
             last_change: 0.0,
             free_count: n,
             cand: Vec::with_capacity(n),
+            heap: if n >= HEAP_MIN_MACHINES {
+                LoadHeap::with_machines(n)
+            } else {
+                LoadHeap::default()
+            },
             down_count: 0,
             down_integral: 0.0,
         };
@@ -165,19 +337,30 @@ impl Pool {
     /// with its current state (owner presence, occupancy, estimate).
     fn refresh_candidate(&mut self, m: usize) {
         let member = &self.members[m];
-        let eligible =
-            Self::member_free(member) && member.estimator.estimate() <= self.admission_threshold;
+        let load_estimate = member.estimator.estimate();
+        let eligible = Self::member_free(member) && load_estimate <= self.admission_threshold;
         match (eligible, self.cand.binary_search_by(|c| c.machine.cmp(&m))) {
-            (true, Ok(i)) => self.cand[i].load_estimate = member.estimator.estimate(),
-            (true, Err(i)) => self.cand.insert(
-                i,
-                CandidateMachine {
+            (true, Ok(i)) => {
+                self.cand[i].load_estimate = load_estimate;
+                if self.heap.live {
+                    self.heap.rekey(load_key(load_estimate, m));
+                }
+            }
+            (true, Err(i)) => {
+                let entry = CandidateMachine {
                     machine: m,
-                    load_estimate: member.estimator.estimate(),
-                },
-            ),
+                    load_estimate,
+                };
+                self.cand.insert(i, entry);
+                if self.heap.live {
+                    self.heap.insert(load_key(load_estimate, m));
+                }
+            }
             (false, Ok(i)) => {
                 self.cand.remove(i);
+                if self.heap.live {
+                    self.heap.remove(m);
+                }
             }
             (false, Err(_)) => {}
         }
@@ -278,6 +461,27 @@ impl Pool {
     #[inline]
     pub fn candidates(&self) -> &[CandidateMachine] {
         &self.cand
+    }
+
+    /// The machine [`crate::policy::LeastLoadedPlacement`] would choose
+    /// from [`Pool::candidates`] — the first candidate in machine order
+    /// with the lowest load estimate — or `None` when there is none.
+    ///
+    /// Pools of 128 machines or more answer from an indexed heap, which
+    /// the first call builds and every later pool change maintains;
+    /// smaller pools scan the candidates (see the module docs).
+    #[inline]
+    pub fn least_loaded(&mut self) -> Option<usize> {
+        if self.cand.is_empty() {
+            return None;
+        }
+        if self.members.len() < HEAP_MIN_MACHINES {
+            return Some(self.cand[first_min(&self.cand)].machine);
+        }
+        if !self.heap.live {
+            self.heap.build(&self.cand);
+        }
+        Some(self.heap.min_machine())
     }
 
     /// Time-averaged available-machine count up to `now` — the dynamic
@@ -443,33 +647,79 @@ mod tests {
 
     #[test]
     fn incremental_index_matches_brute_force_rebuild() {
-        // A deterministic churn of owner transitions and occupancy
-        // flips across a threshold that machines cross in both
-        // directions; after every single mutation the incremental
-        // index must equal the from-scratch rebuild, entry for entry.
-        let mut p = Pool::new(5, 0.5, 20.0, &[0.9, 0.4, 0.0, 0.7, 0.2]);
-        let expected = brute_force_candidates(&p);
-        assert_eq!(p.candidates(), expected.as_slice());
-        let mut t = 0.0;
-        for step in 0u32..200 {
-            t += 1.0 + f64::from(step % 7);
-            let m = (step as usize * 13 + 5) % 5;
-            match step % 6 {
-                0 => p.owner_transition(t, m, true),
-                1 => p.owner_transition(t, m, false),
-                2 => p.set_occupied(t, m, true),
-                3 => p.set_occupied(t, m, false),
-                4 => p.set_down(t, m, true),
-                _ => p.set_down(t, m, false),
+        // Random churn of owner transitions, occupancy flips and
+        // crashes/repairs across a threshold that machines cross in
+        // both directions, on pools on both sides of the heap gate.
+        // After every mutation the incremental index must equal a full
+        // rebuild, entry for entry; once querying starts
+        // (at a random step, so the heap is built mid-churn),
+        // `least_loaded` must equal the linear scan over the slice.
+        use crate::policy::{LeastLoadedPlacement, PlacementPolicy};
+        use nds_stats::rng::Xoshiro256StarStar;
+
+        // Repeated values and a negative zero make ties common.
+        const SEEDS: [f64; 7] = [0.0, -0.0, 0.2, 0.2, 0.45, 0.7, 0.95];
+        let mut rng = Xoshiro256StarStar::new(0x900D);
+        for case in 0u64..48 {
+            let w = if case % 2 == 0 {
+                1 + rng.next_bounded(40) as usize
+            } else {
+                HEAP_MIN_MACHINES + rng.next_bounded(173) as usize
+            };
+            let seeds: Vec<f64> = (0..w)
+                .map(|_| SEEDS[rng.next_bounded(SEEDS.len() as u64) as usize])
+                .collect();
+            let tau = 2.0 + 18.0 * rng.next_f64();
+            let mut p = Pool::new(w, 0.5, tau, &seeds);
+            let steps = 400;
+            let first_query = rng.next_bounded(steps);
+            let mut t = 0.0;
+            for step in 0..steps {
+                // About one step in three lands at the same instant,
+                // which changes membership without moving any estimate.
+                if rng.next_bounded(3) > 0 {
+                    t += 4.0 * rng.next_f64();
+                }
+                let m = rng.next_bounded(w as u64) as usize;
+                let on = rng.next_bounded(2) == 0;
+                match rng.next_bounded(3) {
+                    0 => p.owner_transition(t, m, on),
+                    1 => p.set_occupied(t, m, on),
+                    _ => p.set_down(t, m, on),
+                }
+                let expected = brute_force_candidates(&p);
+                assert_eq!(
+                    p.candidates(),
+                    expected.as_slice(),
+                    "index diverged: case {case}, step {step}"
+                );
+                let free = p.members.iter().filter(|m| Pool::member_free(m)).count();
+                assert_eq!(p.free_count, free, "free counter diverged at step {step}");
+                if step >= first_query {
+                    let scan = (!expected.is_empty()).then(|| {
+                        let mut rng = Xoshiro256StarStar::new(1);
+                        expected[LeastLoadedPlacement.choose(&expected, &mut rng)].machine
+                    });
+                    assert_eq!(
+                        p.least_loaded(),
+                        scan,
+                        "least_loaded diverged from the scan: case {case} (w {w}), step {step}"
+                    );
+                }
             }
-            let expected = brute_force_candidates(&p);
             assert_eq!(
-                p.candidates(),
-                expected.as_slice(),
-                "index diverged at step {step}"
+                p.heap.live,
+                w >= HEAP_MIN_MACHINES,
+                "heap gate, case {case}"
             );
-            let free = p.members.iter().filter(|m| Pool::member_free(m)).count();
-            assert_eq!(p.free_count, free, "free counter diverged at step {step}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "initial estimate must be finite")]
+    fn nan_seed_estimate_rejected() {
+        // A NaN seed used to survive `clamp`, so the machine was never
+        // offered yet still counted as free in `mean_available`.
+        Pool::new(2, 1.0, 100.0, &[f64::NAN, 0.5]);
     }
 }

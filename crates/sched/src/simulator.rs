@@ -103,10 +103,7 @@ use crate::failure::FailureModel;
 use crate::feed::{JobFeed, SliceFeed};
 use crate::gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 use crate::metrics::{JobRecord, SchedMetrics};
-use crate::policy::{
-    CandidateMachine, LeastLoadedPlacement, PlacementKind, PlacementPolicy, RandomPlacement,
-    RoundRobinPlacement,
-};
+use crate::policy::{PlacementKind, PlacementPolicy, RandomPlacement, RoundRobinPlacement};
 use crate::pool::Pool;
 use crate::queue::{JobQueue, JobSpec, PendingTask, QueueDiscipline};
 use crate::trace::{
@@ -1011,14 +1008,15 @@ enum GangPhase {
 /// Devirtualized placement state: the built-in policy objects held as
 /// an enum of concrete types, so the dispatch loop pays a direct
 /// (inlinable) call instead of a `Box<dyn PlacementPolicy>` virtual
-/// call per placement. Each arm delegates to the one
-/// [`crate::policy`] implementation, so there is a single copy of
-/// every policy's choice logic.
+/// call per placement. Random and round-robin delegate to their one
+/// [`crate::policy`] implementation over the candidate slice;
+/// least-loaded asks [`Pool::least_loaded`], which picks the machine
+/// [`crate::policy::LeastLoadedPlacement`] would.
 #[derive(Debug)]
 enum PlacementState {
     Random(RandomPlacement),
     RoundRobin(RoundRobinPlacement),
-    LeastLoaded(LeastLoadedPlacement),
+    LeastLoaded,
 }
 
 impl PlacementState {
@@ -1026,16 +1024,20 @@ impl PlacementState {
         match kind {
             PlacementKind::Random => Self::Random(RandomPlacement),
             PlacementKind::RoundRobin => Self::RoundRobin(RoundRobinPlacement::default()),
-            PlacementKind::LeastLoaded => Self::LeastLoaded(LeastLoadedPlacement),
+            PlacementKind::LeastLoaded => Self::LeastLoaded,
         }
     }
 
+    /// The machine the next task goes to; `pool` must have a candidate.
     #[inline]
-    fn choose(&mut self, candidates: &[CandidateMachine], rng: &mut Xoshiro256StarStar) -> usize {
+    fn choose(&mut self, pool: &mut Pool, rng: &mut Xoshiro256StarStar) -> usize {
+        let candidates = pool.candidates();
         match self {
-            Self::Random(p) => p.choose(candidates, rng),
-            Self::RoundRobin(p) => p.choose(candidates, rng),
-            Self::LeastLoaded(p) => p.choose(candidates, rng),
+            Self::Random(p) => candidates[p.choose(candidates, rng)].machine,
+            Self::RoundRobin(p) => candidates[p.choose(candidates, rng)].machine,
+            Self::LeastLoaded => pool
+                .least_loaded()
+                .expect("invariant: placement runs only with a candidate"),
         }
     }
 }
@@ -1346,10 +1348,7 @@ fn dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, trace
             .queue
             .pop(sim.discipline)
             .expect("invariant: queue was checked non-empty just above");
-        let chosen = sim
-            .placement
-            .choose(sim.pool.candidates(), &mut sim.placement_rng);
-        let m = sim.pool.candidates()[chosen].machine;
+        let m = sim.placement.choose(&mut sim.pool, &mut sim.placement_rng);
         sim.acc.placements += 1;
         sim.acc.total_wait += now - pending.enqueued_at;
         sim.pool.set_occupied(now, m, true);
@@ -2283,10 +2282,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                 sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
                 gang.phase = GangPhase::Suspended { last_t: now };
             }
-            let chosen = sim
-                .placement
-                .choose(sim.pool.candidates(), &mut sim.placement_rng);
-            let m = sim.pool.candidates()[chosen].machine;
+            let m = sim.placement.choose(&mut sim.pool, &mut sim.placement_rng);
             sim.pool.set_occupied(now, m, true);
             sim.machine_gang[m] = Some(g);
             sim.acc.placements += 1;
@@ -2328,10 +2324,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             let n = (pending.tasks as usize).min(free);
             let mut members = Vec::with_capacity(n);
             for _ in 0..n {
-                let chosen = sim
-                    .placement
-                    .choose(sim.pool.candidates(), &mut sim.placement_rng);
-                let m = sim.pool.candidates()[chosen].machine;
+                let m = sim.placement.choose(&mut sim.pool, &mut sim.placement_rng);
                 sim.pool.set_occupied(now, m, true);
                 sim.machine_gang[m] = Some(j);
                 members.push(m);

@@ -7,7 +7,10 @@
 //!   `Calendar<SchedEvent>`;
 //! * the continuous-time cluster simulators (`ContinuousWorkstation`,
 //!   `SmpWorkstation`, `MultiJobExperiment`), recorded before they
-//!   moved onto private `Calendar` event enums.
+//!   moved onto private `Calendar` event enums;
+//! * least-loaded placement on pools of 160–256 machines, recorded
+//!   from the linear candidate scan before `Pool` gained its indexed
+//!   heap, which only pools of 128 machines or more use.
 //!
 //! Every section is compared as `Debug` strings, and `f64`'s `Debug`
 //! prints the shortest string that round-trips, so byte equality here
@@ -22,7 +25,8 @@
 //! ```
 
 use nds::sched::{
-    EvictionPolicy, GangPolicy, JobSpec, PlacementKind, QueueDiscipline, SchedConfig,
+    EvictionPolicy, FailureModel, GangPolicy, JobSpec, PlacementKind, QueueDiscipline, SchedConfig,
+    SchedMetrics, VecFeed,
 };
 use nds_cluster::continuous::ContinuousWorkstation;
 use nds_cluster::multi::{self, MultiJobExperiment};
@@ -224,6 +228,80 @@ fn cluster_sections() -> Vec<(&'static str, String)> {
     out
 }
 
+/// A deterministic mix of independent jobs: 1–8 tasks of 20–68 units,
+/// one arriving every `gap` time units.
+fn job_mix(jobs: u32, gap: f64) -> Vec<JobSpec> {
+    (0..jobs)
+        .map(|j| JobSpec {
+            tasks: 1 + j * 5 % 8,
+            task_demand: f64::from(20 + j * 13 % 49),
+            arrival: f64::from(j) * gap,
+        })
+        .collect()
+}
+
+/// Run `cfg` on `jobs` through the streamed feed in chunks of `chunk`,
+/// splicing the retired records back into the metrics.
+fn streamed(cfg: &SchedConfig, jobs: Vec<JobSpec>, chunk: usize) -> SchedMetrics {
+    let mut records = Vec::new();
+    let (mut metrics, _events) = cfg
+        .run_streamed(&mut VecFeed::new(jobs), chunk, &mut |_, record| {
+            records.push(record)
+        })
+        .expect("streamed oracle scenario completes");
+    metrics.jobs = records;
+    metrics
+}
+
+/// Least-loaded placement on pools large enough for `Pool`'s indexed
+/// heap: a streamed independent-task day, the same day with crashes,
+/// seeded estimates and an admission threshold that machines cross
+/// both ways, and a partial-gang stream that reaches the grower and
+/// gang admission.
+fn large_pool_sections() -> Vec<(&'static str, SchedMetrics)> {
+    let mut out = Vec::new();
+
+    let mut indep = SchedConfig::homogeneous(256, &owner(0.20), Vec::new());
+    indep.seed = 0x1EA5;
+    out.push((
+        "indep_256_least_loaded_streamed",
+        streamed(&indep, job_mix(400, 1.5), 48),
+    ));
+
+    // Owners from 10% to 70% busy under a short estimator window, so
+    // estimates cross the 0.6 threshold in both directions.
+    let owners = (0..256)
+        .map(|i| owner(0.10 + 0.20 * f64::from(i % 4)))
+        .collect();
+    let mut faults = SchedConfig::homogeneous(1, &owner(0.20), Vec::new());
+    faults.owners = owners;
+    faults.failures = Some(FailureModel::exponential(300.0, 40.0).unwrap());
+    faults.calibration_horizon = 500.0;
+    faults.admission_threshold = 0.6;
+    faults.estimator_tau = 40.0;
+    faults.seed = 0xFA17;
+    out.push((
+        "indep_256_faults_fenced_streamed",
+        streamed(&faults, job_mix(400, 2.0), 48),
+    ));
+
+    let gangs = (0..60)
+        .map(|j| JobSpec {
+            tasks: 3 + j * 17 % 48,
+            task_demand: f64::from(30 + j * 11 % 40),
+            arrival: f64::from(j) * 3.0,
+        })
+        .collect();
+    let mut gang = SchedConfig::homogeneous(160, &owner(0.25), gangs);
+    gang.gang = GangPolicy::Partial { min_running: 2 };
+    gang.seed = 0x6A46;
+    out.push((
+        "gang_160_partial_floor2",
+        gang.run().expect("gang oracle completes"),
+    ));
+    out
+}
+
 fn render() -> String {
     let mut out = String::new();
     for (name, cfg) in scenarios() {
@@ -232,6 +310,9 @@ fn render() -> String {
     }
     for (name, outcomes) in cluster_sections() {
         writeln!(out, "== {name}\n{outcomes}").unwrap();
+    }
+    for (name, metrics) in large_pool_sections() {
+        writeln!(out, "== {name}\n{metrics:?}").unwrap();
     }
     out
 }
