@@ -23,6 +23,8 @@
 //! * `ext_faults --smoke` — CI gate: the small sweep replays
 //!   byte-identically, `shards(1)` == `shards(4)` under failures, and a
 //!   never-failing model is byte-identical to no model at all.
+//!
+//! Any other argument exits 2 with a one-line usage.
 
 use nds_cluster::owner::OwnerWorkload;
 use nds_core::report::Table;
@@ -263,6 +265,10 @@ fn smoke(scenario: &Scenario) -> Result<(), String> {
 fn main() {
     let scenario = Scenario::FaultyPool;
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a != "--smoke" && a != "--json") {
+        eprintln!("usage: ext_faults [--smoke] [--json]");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--smoke") {
         if let Err(e) = smoke(&scenario) {
             eprintln!("ext_faults --smoke: {e}");

@@ -17,6 +17,10 @@
 //!   a 32- and a 256-machine day (the latter large enough for the
 //!   pool's least-loaded heap, and also checked against the
 //!   materialized run), and checks every scenario counts events.
+//! * `ext_trace --smoke --fixture PATH` — the same check mode with
+//!   another CSV or JSONL trace in place of the committed fixture.
+//!
+//! Any other argument exits 2 with a one-line usage.
 //!
 //! The streaming path holds O(chunk + pool) job state: the feed is
 //! pulled lazily in `chunk`-sized batches and each job's record is
@@ -211,12 +215,20 @@ fn smoke(fixture: &str) -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let fixture = args
-            .iter()
-            .position(|a| a == "--fixture")
-            .and_then(|i| args.get(i + 1))
-            .map_or("tests/data/datacenter_small.csv", String::as_str);
+    let fixture = match args.as_slice() {
+        [] => None,
+        [smoke] if smoke == "--smoke" => Some("tests/data/datacenter_small.csv"),
+        [smoke, flag, path] | [flag, path, smoke]
+            if smoke == "--smoke" && flag == "--fixture" && !path.starts_with("--") =>
+        {
+            Some(path.as_str())
+        }
+        _ => {
+            eprintln!("usage: ext_trace [--smoke [--fixture PATH]]");
+            std::process::exit(2);
+        }
+    };
+    if let Some(fixture) = fixture {
         if let Err(e) = smoke(fixture) {
             eprintln!("ext_trace --smoke: {e}");
             std::process::exit(1);

@@ -25,6 +25,8 @@
 //!   overhead vs the untraced engine (the JSON `BENCH_trace.json`
 //!   records).
 //!
+//! Any other argument exits 2 with a one-line usage.
+//!
 //! Events/sec is the engine's honest denominator: cancelled calendar
 //! entries skipped at pop time are not counted, only events whose
 //! handler ran.
@@ -393,6 +395,11 @@ fn render_json(results: &[Measurement], jobs: usize, reps: u64) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known = ["--smoke", "--json", "--profile", "--trace-json"];
+    if args.iter().any(|a| !known.contains(&a.as_str())) {
+        eprintln!("usage: perf_core [--smoke] [--json] [--profile] [--trace-json]");
+        std::process::exit(2);
+    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_only = args.iter().any(|a| a == "--json");
     let profile = args.iter().any(|a| a == "--profile");

@@ -37,6 +37,7 @@
 use nds_des::registry::{json_num, json_str};
 use nds_des::{MetricsRegistry, NoTrace, QuantileSketch, SeriesId, SimTime};
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Observer of the scheduler engine's event handling. All hooks
 /// default to no-ops; [`NoTrace`] additionally sets `ENABLED = false`,
@@ -1258,7 +1259,8 @@ impl ProgressMeter {
                 sep = "";
             }
         }
-        eprintln!("{line}");
+        // A heartbeat nobody reads (a closed stderr) is not a failure.
+        let _ = writeln!(std::io::stderr(), "{line}");
         self.last_nanos = self.total_nanos;
         self.last_events = self.total_events;
         self.last_counts = self.counts;
