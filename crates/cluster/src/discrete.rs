@@ -9,8 +9,26 @@
 //! removes that guarantee (the paper's third "optimism bullet"): the
 //! owner re-requests immediately with probability `P` after finishing,
 //! compounding delays geometrically.
+//!
+//! # Sampling the interruptions
+//!
+//! The guaranteed count is drawn by jumping between owner requests with
+//! Geometric(`P`) gaps: one inverted uniform per request, plus one for
+//! the gap that passes `T`. Most tasks are never interrupted — the
+//! first gap alone exceeds `T`, with probability `(1 - P)^T`: 63–98% of
+//! the tasks of the paper's validation (U = 0.20 to 0.01) — so the
+//! simulator settles that case with a squeeze (Marsaglia 1977; Devroye,
+//! *Non-Uniform Random Variate Generation*, 1986). At construction it
+//! computes θ = [`Geometric::survival_squeeze`]`(T)`, which is
+//! `(1 - P)^T` shrunk by a relative margin of `(T·|ln(1 - P)| + 1)·2^-48`,
+//! and a first uniform below θ ends the task with no logarithm. The
+//! margin covers the rounding of `exp`, `ln` and the products, so every
+//! uniform below θ is one whose exact inversion exceeds `T`; any other
+//! draw runs the gap loop from that same uniform. The RNG draws and
+//! every [`TaskOutcome`] are those of the plain loop.
 
 use crate::task::TaskOutcome;
+use nds_stats::distributions::Geometric;
 use nds_stats::rng::Xoshiro256StarStar;
 
 /// Whether the task is guaranteed one unit of progress between owner
@@ -30,17 +48,26 @@ pub enum ProgressGuarantee {
 #[derive(Debug, Clone, Copy)]
 pub struct DiscreteTaskSim {
     /// Integer task demand `T`.
-    pub task_demand: u64,
+    task_demand: u64,
     /// Owner request probability per unit of task work, `P in [0, 1)`.
-    pub request_prob: f64,
+    request_prob: f64,
     /// Owner service demand `O` (time units, deterministic).
-    pub owner_demand: f64,
+    owner_demand: f64,
     /// Progress-guarantee discipline.
-    pub guarantee: ProgressGuarantee,
+    guarantee: ProgressGuarantee,
+    /// Gaps between owner requests; `None` when `P = 0`.
+    gap: Option<Geometric>,
+    /// The squeeze θ: a first uniform below it leaves the task
+    /// uninterrupted.
+    squeeze: f64,
 }
 
 impl DiscreteTaskSim {
     /// Paper-faithful simulator (progress guaranteed).
+    ///
+    /// `P` must be 0 or a valid [`Geometric`] parameter below 1, so a
+    /// `P` too small to leave `1 - P` below 1 in `f64` (below about
+    /// 5.6e-17) is rejected.
     pub fn paper(task_demand: u64, request_prob: f64, owner_demand: f64) -> Self {
         assert!(
             (0.0..1.0).contains(&request_prob),
@@ -50,11 +77,18 @@ impl DiscreteTaskSim {
             owner_demand > 0.0 && owner_demand.is_finite(),
             "O must be finite and > 0"
         );
+        let gap = match Geometric::new(request_prob) {
+            Ok(gap) => Some(gap),
+            Err(_) if request_prob == 0.0 => None,
+            Err(e) => panic!("P must be 0 or a valid geometric parameter: {e}"),
+        };
         Self {
             task_demand,
             request_prob,
             owner_demand,
             guarantee: ProgressGuarantee::Guaranteed,
+            gap,
+            squeeze: gap.map_or(0.0, |gap| gap.survival_squeeze(task_demand)),
         }
     }
 
@@ -70,29 +104,27 @@ impl DiscreteTaskSim {
     /// `execution_time = T + n·O` with `n ~ Binomial(T, P)` — the
     /// paper's eq. 1 exactly.
     pub fn run_task(&self, rng: &mut Xoshiro256StarStar) -> TaskOutcome {
-        let interruptions: u64 = match self.guarantee {
-            ProgressGuarantee::Guaranteed => {
+        let interruptions: u64 = match (self.guarantee, self.gap) {
+            (ProgressGuarantee::Guaranteed, Some(gap)) if self.task_demand > 0 => {
                 // Exact Binomial(T, P) sample in O(successes): jump
                 // between successes with geometric gaps instead of
-                // running T Bernoulli trials.
-                if self.request_prob == 0.0 || self.task_demand == 0 {
+                // running T Bernoulli trials. A first uniform below the
+                // squeeze is a first gap past T (module docs).
+                let u = rng.next_f64_open();
+                if u < self.squeeze {
                     0
                 } else {
-                    let gap = nds_stats::distributions::Geometric::new(self.request_prob)
-                        .expect("P validated at construction");
-                    let mut pos: u64 = 0;
+                    let mut pos = gap.invert(u);
                     let mut n: u64 = 0;
-                    loop {
-                        pos = pos.saturating_add(gap.sample_int(rng));
-                        if pos > self.task_demand {
-                            break;
-                        }
+                    while pos <= self.task_demand {
                         n += 1;
+                        pos = pos.saturating_add(gap.sample_int(rng));
                     }
                     n
                 }
             }
-            ProgressGuarantee::None => {
+            (ProgressGuarantee::Guaranteed, _) => 0,
+            (ProgressGuarantee::None, _) => {
                 // The owner may issue several back-to-back bursts after
                 // each unit of task progress.
                 let mut n = 0;
@@ -261,5 +293,82 @@ mod tests {
     #[should_panic(expected = "P must be in [0,1)")]
     fn rejects_p_one() {
         DiscreteTaskSim::paper(10, 1.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "P must be 0 or a valid geometric parameter")]
+    fn rejects_p_whose_complement_rounds_to_one() {
+        // 1 - P == 1 in f64: every gap would be 1, interrupting every unit.
+        DiscreteTaskSim::paper(10, 1e-17, 10.0);
+    }
+
+    /// `run_task` under the guarantee without the squeeze: a fresh
+    /// `Geometric` per call, a logarithm of `1 - P` per draw and
+    /// `f64::ceil`.
+    fn reference_run_task(t: u64, p: f64, o: f64, rng: &mut Xoshiro256StarStar) -> TaskOutcome {
+        let interruptions = if p == 0.0 || t == 0 {
+            0
+        } else {
+            let gap = Geometric::new(p).expect("valid P");
+            let mut pos: u64 = 0;
+            let mut n: u64 = 0;
+            loop {
+                let u = rng.next_f64_open();
+                let x = (u.ln() / (1.0 - gap.p()).ln()).ceil();
+                pos = pos.saturating_add(x.max(1.0) as u64);
+                if pos > t {
+                    break;
+                }
+                n += 1;
+            }
+            n
+        };
+        let suspended = interruptions as f64 * o;
+        TaskOutcome {
+            execution_time: t as f64 + suspended,
+            demand: t as f64,
+            interruptions,
+            suspended_time: suspended,
+        }
+    }
+
+    #[test]
+    fn run_task_matches_the_plain_gap_loop() {
+        let mut cases = vec![(100, 0.0), (0, 0.3), (1, 0.3), (1, 0.999_999)];
+        // θ near 1, then θ = 0 (T·|ln(1 - P)| = 832 and 921).
+        let near_one = [(1_000, 1e-12), (5_000, 1e-12)];
+        let zero = [(1_200, 0.5), (400, 0.9)];
+        for (t, p) in near_one {
+            assert!(DiscreteTaskSim::paper(t, p, 10.0).squeeze > 1.0 - 1e-8);
+        }
+        for (t, p) in zero {
+            assert_eq!(DiscreteTaskSim::paper(t, p, 10.0).squeeze, 0.0);
+        }
+        cases.extend(near_one.into_iter().chain(zero));
+        let mut pick = Xoshiro256StarStar::new(31);
+        for _ in 0..500 {
+            let p = 0.999 * 10f64.powf(-12.0 * pick.next_f64());
+            cases.push((pick.next_bounded(3_000), p));
+        }
+        for (t, p) in cases {
+            let sim = DiscreteTaskSim::paper(t, p, 10.0);
+            for _ in 0..10 {
+                let mut a = Xoshiro256StarStar::new(pick.next());
+                let mut b = a.clone();
+                for _ in 0..20 {
+                    let got = sim.run_task(&mut a);
+                    let want = reference_run_task(t, p, 10.0, &mut b);
+                    assert_eq!(got.interruptions, want.interruptions, "T = {t}, P = {p}");
+                    for (g, w) in [
+                        (got.execution_time, want.execution_time),
+                        (got.demand, want.demand),
+                        (got.suspended_time, want.suspended_time),
+                    ] {
+                        assert_eq!(g.to_bits(), w.to_bits(), "T = {t}, P = {p}");
+                    }
+                }
+                assert_eq!(a, b, "T = {t}, P = {p}: different RNG draws");
+            }
+        }
     }
 }

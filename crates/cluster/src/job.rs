@@ -70,9 +70,10 @@ impl JobRunner {
         }
     }
 
-    /// Run one job of `w` tasks under the **discrete-time** model with
-    /// per-task demand `sim.task_demand`. Workstation `i` uses the
-    /// stable stream `("ws", i)` xored with `replication`.
+    /// Run one job of `w` tasks under the **discrete-time** model, each
+    /// of the simulator's task demand `T`. Workstation `i` draws from
+    /// the stream labeled `"ws-discrete"` with index
+    /// `i << 32 | replication`.
     pub fn run_discrete_job(&self, sim: &DiscreteTaskSim, w: u32, replication: u64) -> JobResult {
         let tasks = (0..w)
             .map(|i| {

@@ -4,8 +4,10 @@
 use crate::error::CoreError;
 use nds_cluster::discrete::DiscreteTaskSim;
 use nds_cluster::experiment::{JobTimeExperiment, ValidationOutcome};
+use nds_cluster::ClusterError;
 use nds_model::expectation::expected_job_time_int;
-use nds_model::params::OwnerParams;
+use nds_model::params::{OwnerParams, Workload};
+use nds_stats::distributions::Geometric;
 
 /// One comparison point: a configuration, its analytic prediction, and
 /// the simulated measurement.
@@ -60,14 +62,23 @@ impl ValidationSuite {
     }
 
     /// Validate one `(J, W, U)` point of Figure 1.
+    ///
+    /// `J` must be finite and positive, `W` at least 1, and `U` must
+    /// give a request probability `P` the discrete simulator can sample
+    /// (a valid [`Geometric`] parameter); otherwise this returns the
+    /// model's or the sampler's error.
     pub fn validate_point(
         &self,
         job_demand: f64,
         workstations: u32,
         utilization: f64,
     ) -> Result<ComparisonRow, CoreError> {
-        let t = (job_demand / f64::from(workstations)).round().max(1.0) as u64;
+        let t = Workload::new(job_demand, workstations)?
+            .task_demand()
+            .round()
+            .max(1.0) as u64;
         let owner = OwnerParams::from_utilization(self.owner_demand, utilization)?;
+        Geometric::new(owner.request_prob()).map_err(ClusterError::from)?;
         let analytic = expected_job_time_int(t, workstations, owner);
         let sim = DiscreteTaskSim::paper(t, owner.request_prob(), self.owner_demand);
         let experiment = JobTimeExperiment {
@@ -149,5 +160,47 @@ mod tests {
     fn invalid_utilization_propagates() {
         let suite = ValidationSuite::quick(3);
         assert!(suite.validate_point(1000.0, 10, 1.5).is_err());
+    }
+
+    fn model_error(job_demand: f64, workstations: u32) -> &'static str {
+        match ValidationSuite::quick(3).validate_point(job_demand, workstations, 0.1) {
+            Err(CoreError::Model(nds_model::ModelError::InvalidParameter { name, .. })) => name,
+            other => panic!("expected a model error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_workstations_is_an_error() {
+        assert_eq!(model_error(1000.0, 0), "W (workstations)");
+    }
+
+    #[test]
+    fn nan_job_demand_is_an_error() {
+        assert_eq!(model_error(f64::NAN, 10), "J (job demand)");
+    }
+
+    #[test]
+    fn zero_job_demand_is_an_error() {
+        assert_eq!(model_error(0.0, 10), "J (job demand)");
+    }
+
+    #[test]
+    fn negative_job_demand_is_an_error() {
+        assert_eq!(model_error(-5.0, 10), "J (job demand)");
+    }
+
+    #[test]
+    fn request_prob_the_sampler_cannot_draw_is_an_error() {
+        // U = 1e-16 gives P ≈ 1e-17, where 1 - P rounds to 1.
+        let row = ValidationSuite::quick(3).validate_point(1000.0, 10, 1e-16);
+        assert!(
+            matches!(
+                row,
+                Err(CoreError::Cluster(ClusterError::Stats(
+                    nds_stats::StatsError::InvalidParameter { name: "p", .. }
+                )))
+            ),
+            "{row:?}"
+        );
     }
 }

@@ -185,10 +185,19 @@ impl Distribution for Exponential {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`: negative, `-inf` at `p = 1`.
+    ln_q: f64,
 }
+
+/// The relative margin of [`Geometric::survival_squeeze`], `2^-48`.
+const SQUEEZE_MARGIN: f64 = 16.0 * f64::EPSILON;
 
 impl Geometric {
     /// Geometric with success probability `p` in `(0, 1]`.
+    ///
+    /// `p` must also leave `1 - p` below 1 in `f64`, which fails for
+    /// `p` below about 5.6e-17: there `ln(1 - p)` is 0 and inversion
+    /// would return 1 on every draw instead of a gap of mean `1/p`.
     pub fn new(p: f64) -> Result<Self, StatsError> {
         if !p.is_finite() || p <= 0.0 || p > 1.0 {
             return Err(StatsError::InvalidParameter {
@@ -197,7 +206,15 @@ impl Geometric {
                 constraint: "must be in (0, 1]",
             });
         }
-        Ok(Self { p })
+        let ln_q = (1.0 - p).ln();
+        if ln_q == 0.0 {
+            return Err(StatsError::InvalidParameter {
+                name: "p",
+                value: p,
+                constraint: "must leave 1 - p below 1 in f64 (p above about 5.6e-17)",
+            });
+        }
+        Ok(Self { p, ln_q })
     }
 
     /// The per-trial success probability.
@@ -210,11 +227,45 @@ impl Geometric {
         if self.p >= 1.0 {
             return 1;
         }
-        // Inversion: ceil(ln(U) / ln(1-p)) with U in (0,1].
-        let u = rng.next_f64_open();
-        let x = (u.ln() / (1.0 - self.p).ln()).ceil();
-        x.max(1.0) as u64
+        self.invert(rng.next_f64_open())
     }
+
+    /// The inversion [`Geometric::sample_int`] applies to its uniform
+    /// `u` in `(0, 1]`: `max(1, ceil(ln(u) / ln(1 - p)))`.
+    #[inline]
+    pub fn invert(&self, u: f64) -> u64 {
+        ceil_at_least_one(u.ln() / self.ln_q)
+    }
+
+    /// A squeeze bound on the survival function `P(X > t) = (1 - p)^t`:
+    /// every `u` in `[2^-53, 1]` (the range of
+    /// [`Xoshiro256StarStar::next_f64_open`]) below the bound inverts
+    /// to a gap greater than `t`, so one comparison settles such a draw
+    /// without a logarithm.
+    ///
+    /// The bound is `exp(x)·(1 - (|x| + 1)·2^-48)` with `x = t·ln(1 - p)`
+    /// from the stored logarithm, which [`Geometric::invert`] also
+    /// divides by. The margin, `2^-48` (16 ulp) relative to `|x| + 1`,
+    /// is about four times the rounding it covers: the product
+    /// `t·ln(1 - p)` and `exp` here, `ln(u)` and the division in the
+    /// inversion, each within an ulp of `|x|`, and an ulp of absolute
+    /// error near `u = 1`. The bound is 0 for `p = 1` and when `exp(x)`
+    /// underflows to 0.
+    pub fn survival_squeeze(&self, t: u64) -> f64 {
+        if self.p >= 1.0 {
+            return 0.0;
+        }
+        let x = t as f64 * self.ln_q;
+        x.exp() * (1.0 - (x.abs() + 1.0) * SQUEEZE_MARGIN)
+    }
+}
+
+/// `r.ceil().max(1.0) as u64`, in integer arithmetic: `f64::ceil` is a
+/// libm call on baseline x86-64. Equal for every `f64`, NaN included.
+#[inline]
+fn ceil_at_least_one(r: f64) -> u64 {
+    let t = r as u64;
+    t.saturating_add(u64::from((t as f64) < r)).max(1)
 }
 
 impl Distribution for Geometric {
@@ -797,6 +848,161 @@ mod tests {
         assert!(Geometric::new(0.0).is_err());
         assert!(Geometric::new(1.5).is_err());
         assert!(Geometric::new(-0.1).is_err());
+        // Here 1 - p rounds to 1, so ln(1 - p) is 0 and every draw was 1.
+        assert!(Geometric::new(1e-17).is_err());
+        assert!(Geometric::new(2f64.powi(-54)).is_err());
+        assert!(Geometric::new(2f64.powi(-53)).is_ok());
+    }
+
+    /// `Geometric::sample_int` before `ln(1 - p)` was stored: one
+    /// logarithm of `1 - p` per draw, and `f64::ceil`.
+    fn reference_sample_int(p: f64, rng: &mut Xoshiro256StarStar) -> u64 {
+        if p >= 1.0 {
+            return 1;
+        }
+        reference_invert(p, rng.next_f64_open())
+    }
+
+    fn reference_invert(p: f64, u: f64) -> u64 {
+        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
+    }
+
+    /// `p` log-uniform in `[1e-15, 0.999999]`.
+    fn random_p(rng: &mut Xoshiro256StarStar) -> f64 {
+        let (lo, hi) = (1e-15f64.ln(), 0.999_999f64.ln());
+        (lo + rng.next_f64() * (hi - lo)).exp()
+    }
+
+    #[test]
+    fn sample_int_matches_the_per_draw_formula() {
+        let fixed = [1.0, 0.5, 0.999_999, 1e-15, 2f64.powi(-53), 1.0 / 90.0];
+        let mut pick = Xoshiro256StarStar::new(19);
+        for i in 0..600 {
+            let p = fixed.get(i).copied().unwrap_or_else(|| random_p(&mut pick));
+            let d = Geometric::new(p).unwrap();
+            let seed = pick.next();
+            let mut a = Xoshiro256StarStar::new(seed);
+            let mut b = a.clone();
+            for _ in 0..200 {
+                assert_eq!(
+                    d.sample_int(&mut a),
+                    reference_sample_int(p, &mut b),
+                    "p = {p}"
+                );
+            }
+            assert_eq!(a, b, "p = {p}: different RNG draws");
+            // The ends of next_f64_open's range.
+            for u in [1.0, 1.0 - f64::EPSILON / 2.0, 2f64.powi(-53)] {
+                assert_eq!(d.invert(u), reference_invert(p, u), "p = {p}, u = {u}");
+            }
+        }
+        // u = 1 makes the ratio -0.0, which still samples 1.
+        let d = Geometric::new(0.3).unwrap();
+        assert!((1f64.ln() / d.ln_q).is_sign_negative());
+        assert_eq!(d.invert(1.0), 1);
+    }
+
+    #[test]
+    fn integer_ceil_matches_f64_ceil() {
+        let two = 2f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 - f64::EPSILON,
+            two.powi(52) + 0.5,
+            two.powi(53),
+            two.powi(63),
+            two.powi(64),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.5,
+            -two.powi(70),
+        ];
+        let mut rng = Xoshiro256StarStar::new(23);
+        for _ in 0..50_000 {
+            let whole = (rng.next_f64() * 1e6).floor();
+            cases.extend([
+                f64::from_bits(rng.next()),
+                rng.next_f64() * 1e6,
+                whole,
+                f64::from_bits(whole.to_bits() + 1),
+            ]);
+        }
+        for r in cases {
+            let want = r.ceil().max(1.0) as u64;
+            assert_eq!(ceil_at_least_one(r), want, "r = {r:e} ({:#x})", r.to_bits());
+        }
+    }
+
+    /// `1 - k·2^-53`: the values `next_f64_open` returns, largest
+    /// first (exact for `k < 2^53`).
+    fn lattice(k: u64) -> f64 {
+        1.0 - k as f64 * 2f64.powi(-53)
+    }
+
+    #[test]
+    fn survival_squeeze_never_misclassifies() {
+        const LATTICE: u64 = 1 << 53;
+        let smallest = lattice(LATTICE - 1);
+        // The paper's validation grid: J = 1000 on W = 1, 10, 25, 50,
+        // 100 at O = 10 over the Figure 1 utilizations.
+        let mut pairs = Vec::new();
+        for u in [0.01, 0.05, 0.10, 0.20] {
+            for t in [1_000, 100, 40, 20, 10] {
+                let p = u / (10.0 * (1.0 - u));
+                let theta = Geometric::new(p).unwrap().survival_squeeze(t);
+                let survival = (1.0 - p).powf(t as f64);
+                assert!(theta < survival && theta > survival * (1.0 - 1e-12));
+                pairs.push((t, p));
+            }
+        }
+        let mut rng = Xoshiro256StarStar::new(29);
+        for i in 0..2_000 {
+            let p = random_p(&mut rng);
+            let t = match i % 3 {
+                0 => 1 + rng.next_bounded(5_000),
+                1 => rng.next() >> (1 + rng.next_bounded(63)),
+                // (1 - p)^t spread over (e^-40, 1].
+                _ => (rng.next_f64() * 40.0 / -(1.0 - p).ln()) as u64,
+            };
+            pairs.push((t, p));
+        }
+        for (t, p) in pairs {
+            let g = Geometric::new(p).unwrap();
+            let theta = g.survival_squeeze(t);
+            let check = |u: f64| {
+                let gap = g.invert(u);
+                assert!(
+                    gap > t,
+                    "T = {t}, P = {p}, θ = {theta:e}: u = {u:e} gives {gap}"
+                );
+            };
+            if theta <= smallest {
+                continue;
+            }
+            // The 1,000 lattice points just below θ.
+            let mut k = (((1.0 - theta) * LATTICE as f64) as u64).min(LATTICE - 1);
+            while lattice(k) >= theta {
+                k += 1;
+            }
+            while k > 0 && lattice(k - 1) < theta {
+                k -= 1;
+            }
+            (k..(k + 1_000).min(LATTICE)).for_each(|k| check(lattice(k)));
+            // The 1,000 floats just below θ, and random ones further down.
+            (1..=1_000)
+                .map(|j| f64::from_bits(theta.to_bits() - j))
+                .chain((0..100).map(|_| theta * rng.next_f64()))
+                .filter(|&u| u >= smallest)
+                .for_each(check);
+        }
     }
 
     #[test]
