@@ -32,6 +32,10 @@ pub trait PlacementPolicy {
 }
 
 /// Uniformly random placement — the baseline a real scheduler must beat.
+///
+/// The scheduler engine draws the same index and reads the machine
+/// from the pool's candidate bitset; this slice version is the
+/// reference it is tested against.
 #[derive(Debug, Default)]
 pub struct RandomPlacement;
 
@@ -46,6 +50,10 @@ impl PlacementPolicy for RandomPlacement {
 }
 
 /// Cycle through machine indices, skipping unavailable ones.
+///
+/// The scheduler engine keeps the same cursor and reads its pick from
+/// the pool's candidate bitset; this slice version is the reference
+/// it is tested against.
 #[derive(Debug, Default)]
 pub struct RoundRobinPlacement {
     next_machine: usize,
@@ -82,20 +90,23 @@ impl PlacementPolicy for LeastLoadedPlacement {
     }
 
     fn choose(&mut self, candidates: &[CandidateMachine], _rng: &mut Xoshiro256StarStar) -> usize {
-        first_min(candidates)
+        first_min(candidates.iter().map(|c| c.load_estimate).enumerate())
+            .expect("invariant: choose receives a non-empty candidate slice")
     }
 }
 
-/// Index of the first candidate with the lowest load estimate — the
-/// least-loaded choice over a non-empty, machine-ordered slice.
-pub(crate) fn first_min(candidates: &[CandidateMachine]) -> usize {
-    let mut best = 0;
-    for (i, c) in candidates.iter().enumerate().skip(1) {
-        if c.load_estimate < candidates[best].load_estimate {
-            best = i;
+/// The least-loaded rule: the key of the first `(key, load estimate)`
+/// pair, in machine order, with the lowest estimate, or `None` for no
+/// pairs. [`LeastLoadedPlacement`] keys candidates by slice index,
+/// [`crate::Pool::least_loaded`]'s scan by machine.
+pub(crate) fn first_min(mut entries: impl Iterator<Item = (usize, f64)>) -> Option<usize> {
+    let (mut best, mut lowest) = entries.next()?;
+    for (key, estimate) in entries {
+        if estimate < lowest {
+            (best, lowest) = (key, estimate);
         }
     }
-    best
+    Some(best)
 }
 
 /// Value-type selector for the built-in policies, convenient for sweeps

@@ -15,16 +15,34 @@
 //!
 //! # Incremental free-machine index
 //!
-//! The pool maintains its offerable-machine set *incrementally*: a
-//! sorted candidate list updated in place on every owner transition
-//! and occupancy change, plus an O(1) free-machine counter feeding the
-//! availability integral. [`Pool::candidates`] therefore returns a
-//! slice view — no `Vec` is materialized per dispatch iteration, and
-//! no O(W) membership scan runs per event. The list is kept in
-//! ascending machine order, which placement policies rely on
-//! (round-robin cursors, least-loaded and random tie-breaking), so the
-//! view is byte-for-byte the list the old allocating implementation
-//! built from scratch.
+//! The pool keeps its offerable machines (free and within the
+//! admission threshold) in a bitset, one bit per machine in 64-machine
+//! words, plus a count; a free-machine counter feeds the availability
+//! integral. An owner transition, crash, repair or occupancy flip sets
+//! or clears one bit, in O(1): nothing is shifted and no O(W)
+//! membership scan runs per event.
+//!
+//! Every built-in placement policy is answered from the bits, in
+//! machine order, so the pool picks the machine that policy's
+//! [`crate::policy`] implementation would pick from the
+//! machine-ordered candidate slice (rank/select over a bit vector,
+//! after Jacobson, "Space-efficient static trees and graphs", FOCS
+//! 1989):
+//! * random: `Pool::nth_candidate` returns the `k`-th set bit, for
+//!   the `k` that [`crate::policy::RandomPlacement`] draws with
+//!   `next_bounded(count)`;
+//! * round-robin: `Pool::next_candidate` returns the first set bit at
+//!   or after the cursor, wrapping to the lowest;
+//! * least-loaded: [`Pool::least_loaded`], below.
+//!
+//! The first two read one word after another, O(W/64) word reads (16
+//! on 1,000 machines).
+//!
+//! [`Pool::candidates`] still returns that slice, for tests and outside
+//! callers, but builds it on demand: the first call after a change
+//! collects it from the bits in O(W), and the next change to the set or
+//! to a candidate's estimate drops it. The scheduler engine never calls
+//! it; it reads [`Pool::candidate_count`] and the picks above.
 //!
 //! # Least-loaded index
 //!
@@ -36,7 +54,8 @@
 //! in machine order, exactly the linear scan's pick. A per-machine heap
 //! position lets an owner return, a crash, an occupancy flip or a
 //! changed estimate move or remove any machine in O(log n), with no
-//! stale entries; all upkeep happens where the candidate list changes.
+//! stale entries; all upkeep happens where the candidate bitset
+//! changes.
 //!
 //! The heap covers the candidates, not every machine, because a busy
 //! pool has few of them. On the 1,000-machine × 1M-job synthetic day
@@ -46,20 +65,21 @@
 //! saturated peak and O(log n) in the idle trough.
 //!
 //! Two gates keep the heap off the workloads it would slow:
-//! * pools below 128 machines always scan. A small pool offers a few
-//!   candidates, which the scan reads faster than the heap is kept up:
-//!   on a 32-machine gang pool with about 4.5 candidates per placement,
-//!   an ungated heap ran 7% slower. On synthetic days under
-//!   least-loaded placement (`SyntheticTrace::datacenter(W, 300·W)`,
-//!   2-core Xeon) it gained nothing at W = 32, 5% at 64, 15% at 128,
-//!   32% at 256 and 2.7× at 1,000. The gate sits where the gain is
-//!   clear;
+//! * pools below 128 machines always scan the set bits. A small pool
+//!   offers a few candidates, which the scan reads faster than the
+//!   heap is kept up: on a 32-machine gang pool with about 4.5
+//!   candidates per placement, an ungated heap ran 7% slower. On
+//!   synthetic days under least-loaded placement
+//!   (`SyntheticTrace::datacenter(W, 300·W)`, 2-core Xeon) it gained
+//!   nothing at W = 32, 5% at 64, 15% at 128, 32% at 256 and 2.7× at
+//!   1,000. The gate sits where the gain is clear;
 //! * the heap is built on the first [`Pool::least_loaded`] call and
 //!   maintained from then on, so random and round-robin placement never
 //!   pay its upkeep. Its arrays are sized in [`Pool::new`], so neither
 //!   the build nor the upkeep allocates.
 
 use crate::policy::{first_min, CandidateMachine};
+use std::sync::OnceLock;
 
 /// Pools with fewer machines answer [`Pool::least_loaded`] with the
 /// linear scan and never build the heap.
@@ -144,7 +164,7 @@ struct LoadHeap {
     /// Each machine's slot in `keys` (meaningless for machines not in
     /// the heap).
     pos: Vec<u32>,
-    /// Whether `keys` mirrors the candidate list; set by the first
+    /// Whether `keys` mirrors the candidate set; set by the first
     /// query, after which every candidate change updates the heap.
     live: bool,
 }
@@ -159,12 +179,12 @@ impl LoadHeap {
         }
     }
 
-    /// Heapify the candidate list and start maintaining it.
-    fn build(&mut self, cand: &[CandidateMachine]) {
+    /// Heapify the candidates' keys and start maintaining them.
+    fn build(&mut self, keys: impl Iterator<Item = u128>) {
         self.keys.clear();
-        for c in cand {
-            self.pos[c.machine] = self.keys.len() as u32;
-            self.keys.push(load_key(c.load_estimate, c.machine));
+        for key in keys {
+            self.pos[key_machine(key)] = self.keys.len() as u32;
+            self.keys.push(key);
         }
         for i in (0..self.keys.len() / 2).rev() {
             self.sift_down(i);
@@ -246,6 +266,81 @@ impl LoadHeap {
     }
 }
 
+/// A set of machines as a bitset: bit `m % 64` of word `m / 64` is
+/// machine `m`, and `len` counts the set bits.
+#[derive(Debug, Clone)]
+struct MachineSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl MachineSet {
+    /// An empty set over machines `0..n`.
+    fn with_machines(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn contains(&self, m: usize) -> bool {
+        self.words[m / 64] >> (m % 64) & 1 == 1
+    }
+
+    /// Add `m`, which must be absent.
+    fn insert(&mut self, m: usize) {
+        self.words[m / 64] |= 1 << (m % 64);
+        self.len += 1;
+    }
+
+    /// Remove `m`, which must be present.
+    fn remove(&mut self, m: usize) {
+        self.words[m / 64] &= !(1 << (m % 64));
+        self.len -= 1;
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// The `k`-th member in ascending order (select), if `k < len`.
+    fn nth(&self, mut k: usize) -> Option<usize> {
+        for (i, &word) in self.words.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let mut rest = word;
+                for _ in 0..k {
+                    rest &= rest - 1;
+                }
+                return Some(i * 64 + rest.trailing_zeros() as usize);
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// The lowest member at or above `from`, if any.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let start = from / 64;
+        let head = self.words.get(start)? & (!0 << (from % 64));
+        std::iter::once(head)
+            .chain(self.words[start + 1..].iter().copied())
+            .enumerate()
+            .find(|&(_, word)| word != 0)
+            .map(|(i, word)| (start + i) * 64 + word.trailing_zeros() as usize)
+    }
+}
+
 /// Membership and load view of the workstation pool.
 #[derive(Debug, Clone)]
 pub struct Pool {
@@ -259,17 +354,27 @@ pub struct Pool {
     /// maintained incrementally.
     free_count: usize,
     /// Offerable machines (free *and* within the admission threshold),
-    /// in ascending machine order, maintained incrementally.
-    cand: Vec<CandidateMachine>,
+    /// maintained incrementally.
+    offerable: MachineSet,
     /// The candidates again, as a least-loaded heap (empty below
     /// [`HEAP_MIN_MACHINES`]).
     heap: LoadHeap,
+    /// [`Pool::candidates`]' slice, built by its first call after a
+    /// change and dropped by the next change.
+    view: OnceLock<Vec<CandidateMachine>>,
     /// Machines currently crashed — the downtime integral's integrand.
     down_count: usize,
     /// Time integral of the down-machine count (machine-time lost to
     /// crashes), accumulated on the same clock as `avail_integral`.
     down_integral: f64,
 }
+
+// `Pool` stays `Send + Sync`: the candidate view is a `OnceLock`, not
+// a `OnceCell`, so a shared `&Pool` can still cross threads.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Pool>();
+};
 
 impl Pool {
     /// A pool of `n` machines, all initially idle and unoccupied.
@@ -297,12 +402,13 @@ impl Pool {
             avail_integral: 0.0,
             last_change: 0.0,
             free_count: n,
-            cand: Vec::with_capacity(n),
+            offerable: MachineSet::with_machines(n),
             heap: if n >= HEAP_MIN_MACHINES {
                 LoadHeap::with_machines(n)
             } else {
                 LoadHeap::default()
             },
+            view: OnceLock::new(),
             down_count: 0,
             down_integral: 0.0,
         };
@@ -333,37 +439,35 @@ impl Pool {
         !m.down && !m.owner_busy && !m.occupied
     }
 
-    /// Re-sync machine `m`'s entry in the incremental candidate list
-    /// with its current state (owner presence, occupancy, estimate).
+    /// Re-sync machine `m`'s bit in the candidate set, and its heap
+    /// entry, with its current state (owner presence, occupancy,
+    /// estimate).
     fn refresh_candidate(&mut self, m: usize) {
         let member = &self.members[m];
         let load_estimate = member.estimator.estimate();
         let eligible = Self::member_free(member) && load_estimate <= self.admission_threshold;
-        match (eligible, self.cand.binary_search_by(|c| c.machine.cmp(&m))) {
-            (true, Ok(i)) => {
-                self.cand[i].load_estimate = load_estimate;
+        match (eligible, self.offerable.contains(m)) {
+            (true, true) => {
                 if self.heap.live {
                     self.heap.rekey(load_key(load_estimate, m));
                 }
             }
-            (true, Err(i)) => {
-                let entry = CandidateMachine {
-                    machine: m,
-                    load_estimate,
-                };
-                self.cand.insert(i, entry);
+            (true, false) => {
+                self.offerable.insert(m);
                 if self.heap.live {
                     self.heap.insert(load_key(load_estimate, m));
                 }
             }
-            (false, Ok(i)) => {
-                self.cand.remove(i);
+            (false, true) => {
+                self.offerable.remove(m);
                 if self.heap.live {
                     self.heap.remove(m);
                 }
             }
-            (false, Err(_)) => {}
+            (false, false) => return,
         }
+        // The set or a candidate's estimate may have changed.
+        self.view.take();
     }
 
     /// Apply a state change to machine `m`, keeping the free counter
@@ -377,7 +481,7 @@ impl Pool {
             (false, true) => self.free_count += 1,
             _ => {}
         }
-        // A machine that stays non-free is in the candidate list
+        // A machine that stays non-free is in the candidate set
         // neither before nor after — nothing to probe.
         if was_free || is_free {
             self.refresh_candidate(m);
@@ -455,12 +559,51 @@ impl Pool {
     }
 
     /// Machines currently offerable to the scheduler: owner away, no
-    /// guest aboard, and estimated load within the admission threshold.
-    /// A borrowed view of the incrementally-maintained index, in
-    /// ascending machine order — nothing is built per call.
-    #[inline]
+    /// guest aboard, and estimated load within the admission threshold,
+    /// in ascending machine order — the slice the
+    /// [`crate::policy::PlacementPolicy`] implementations take.
+    ///
+    /// The first call after a pool change builds it from the candidate
+    /// bitset, in O(W); later calls return the same slice until the
+    /// next change. The scheduler engine never calls it: it reads
+    /// [`Pool::candidate_count`] and the pool's own picks.
     pub fn candidates(&self) -> &[CandidateMachine] {
-        &self.cand
+        self.view.get_or_init(|| {
+            self.offerable
+                .iter()
+                .map(|machine| CandidateMachine {
+                    machine,
+                    load_estimate: self.load_estimate(machine),
+                })
+                .collect()
+        })
+    }
+
+    /// Number of machines currently offerable, `candidates().len()`
+    /// without building the slice.
+    #[inline]
+    pub fn candidate_count(&self) -> usize {
+        self.offerable.len
+    }
+
+    /// The `k`-th candidate in machine order (`candidates()[k]`'s
+    /// machine), or `None` when `k >= candidate_count()`. With `k`
+    /// drawn by `next_bounded(candidate_count())` it is
+    /// [`crate::policy::RandomPlacement`]'s pick.
+    #[inline]
+    pub(crate) fn nth_candidate(&self, k: usize) -> Option<usize> {
+        self.offerable.nth(k)
+    }
+
+    /// The first candidate at or after machine `from`, wrapping to the
+    /// lowest candidate, or `None` when there is none:
+    /// [`crate::policy::RoundRobinPlacement`]'s pick for a cursor at
+    /// `from`.
+    #[inline]
+    pub(crate) fn next_candidate(&self, from: usize) -> Option<usize> {
+        self.offerable
+            .first_from(from)
+            .or_else(|| self.offerable.first_from(0))
     }
 
     /// The machine [`crate::policy::LeastLoadedPlacement`] would choose
@@ -472,14 +615,19 @@ impl Pool {
     /// smaller pools scan the candidates (see the module docs).
     #[inline]
     pub fn least_loaded(&mut self) -> Option<usize> {
-        if self.cand.is_empty() {
+        if self.members.len() < HEAP_MIN_MACHINES {
+            return first_min(self.offerable.iter().map(|m| (m, self.load_estimate(m))));
+        }
+        if self.offerable.len == 0 {
             return None;
         }
-        if self.members.len() < HEAP_MIN_MACHINES {
-            return Some(self.cand[first_min(&self.cand)].machine);
-        }
         if !self.heap.live {
-            self.heap.build(&self.cand);
+            let members = &self.members;
+            self.heap.build(
+                self.offerable
+                    .iter()
+                    .map(|m| load_key(members[m].estimator.estimate(), m)),
+            );
         }
         Some(self.heap.min_machine())
     }
@@ -498,6 +646,10 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{
+        LeastLoadedPlacement, PlacementPolicy, RandomPlacement, RoundRobinPlacement,
+    };
+    use nds_stats::rng::Xoshiro256StarStar;
 
     #[test]
     fn estimator_converges_to_duty_cycle() {
@@ -645,26 +797,42 @@ mod tests {
             .collect()
     }
 
+    /// A round-robin policy whose cursor sits at `cursor`: a fresh one
+    /// starts at 0, and choosing machine `cursor - 1` moves it there.
+    fn round_robin_at(cursor: usize) -> RoundRobinPlacement {
+        let mut policy = RoundRobinPlacement::default();
+        if let Some(machine) = cursor.checked_sub(1) {
+            let only = [CandidateMachine {
+                machine,
+                load_estimate: 0.0,
+            }];
+            policy.choose(&only, &mut Xoshiro256StarStar::new(0));
+        }
+        policy
+    }
+
     #[test]
     fn incremental_index_matches_brute_force_rebuild() {
         // Random churn of owner transitions, occupancy flips and
         // crashes/repairs across a threshold that machines cross in
-        // both directions, on pools on both sides of the heap gate.
-        // After every mutation the incremental index must equal a full
-        // rebuild, entry for entry; once querying starts
-        // (at a random step, so the heap is built mid-churn),
-        // `least_loaded` must equal the linear scan over the slice.
-        use crate::policy::{LeastLoadedPlacement, PlacementPolicy};
-        use nds_stats::rng::Xoshiro256StarStar;
+        // both directions, on pools on both sides of the heap gate and
+        // at the bitset's word boundaries. After every mutation the
+        // candidate count, the view and the random and round-robin
+        // picks must match a full rebuild and the policies' picks over
+        // it; once querying starts (at a random step, so the heap is
+        // built mid-churn), `least_loaded` must equal the linear scan
+        // over the rebuilt slice.
 
         // Repeated values and a negative zero make ties common.
         const SEEDS: [f64; 7] = [0.0, -0.0, 0.2, 0.2, 0.45, 0.7, 0.95];
+        // Either side of one and two full 64-machine words.
+        const EDGES: [usize; 6] = [63, 64, 65, 127, 128, 129];
         let mut rng = Xoshiro256StarStar::new(0x900D);
-        for case in 0u64..48 {
-            let w = if case % 2 == 0 {
-                1 + rng.next_bounded(40) as usize
-            } else {
-                HEAP_MIN_MACHINES + rng.next_bounded(173) as usize
+        for case in 0u64..66 {
+            let w = match case % 3 {
+                0 => 1 + rng.next_bounded(40) as usize,
+                1 => HEAP_MIN_MACHINES + rng.next_bounded(173) as usize,
+                _ => EDGES[(case / 3) as usize % EDGES.len()],
             };
             let seeds: Vec<f64> = (0..w)
                 .map(|_| SEEDS[rng.next_bounded(SEEDS.len() as u64) as usize])
@@ -687,24 +855,44 @@ mod tests {
                     1 => p.set_occupied(t, m, on),
                     _ => p.set_down(t, m, on),
                 }
+                let at = format!("case {case} (w {w}), step {step}");
                 let expected = brute_force_candidates(&p);
-                assert_eq!(
-                    p.candidates(),
-                    expected.as_slice(),
-                    "index diverged: case {case}, step {step}"
-                );
+                // The previous step built a view, so one this step's
+                // mutation should have dropped shows here.
+                assert_eq!(p.candidates(), expected.as_slice(), "view: {at}");
+                assert_eq!(p.candidate_count(), expected.len(), "count: {at}");
                 let free = p.members.iter().filter(|m| Pool::member_free(m)).count();
-                assert_eq!(p.free_count, free, "free counter diverged at step {step}");
+                assert_eq!(p.free_count, free, "free counter: {at}");
+                assert_eq!(p.nth_candidate(expected.len()), None, "past the end: {at}");
+                if expected.is_empty() {
+                    let cursor = rng.next_bounded(w as u64 + 1) as usize;
+                    assert_eq!(p.next_candidate(cursor), None, "round-robin, none: {at}");
+                } else {
+                    for _ in 0..3 {
+                        let draw = Xoshiro256StarStar::new(rng.next());
+                        let (mut ours, mut theirs) = (draw.clone(), draw);
+                        let k = ours.next_bounded(p.candidate_count() as u64) as usize;
+                        let pick = expected[RandomPlacement.choose(&expected, &mut theirs)].machine;
+                        assert_eq!(p.nth_candidate(k), Some(pick), "random: {at}");
+                        assert_eq!(ours, theirs, "random draws: {at}");
+                    }
+                    for cursor in [w, rng.next_bounded(w as u64) as usize, m] {
+                        let mut unused = Xoshiro256StarStar::new(0);
+                        let pick =
+                            expected[round_robin_at(cursor).choose(&expected, &mut unused)].machine;
+                        assert_eq!(
+                            p.next_candidate(cursor),
+                            Some(pick),
+                            "round-robin from {cursor}: {at}"
+                        );
+                    }
+                }
                 if step >= first_query {
                     let scan = (!expected.is_empty()).then(|| {
                         let mut rng = Xoshiro256StarStar::new(1);
                         expected[LeastLoadedPlacement.choose(&expected, &mut rng)].machine
                     });
-                    assert_eq!(
-                        p.least_loaded(),
-                        scan,
-                        "least_loaded diverged from the scan: case {case} (w {w}), step {step}"
-                    );
+                    assert_eq!(p.least_loaded(), scan, "least-loaded: {at}");
                 }
             }
             assert_eq!(

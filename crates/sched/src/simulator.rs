@@ -103,7 +103,7 @@ use crate::failure::FailureModel;
 use crate::feed::{JobFeed, SliceFeed};
 use crate::gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 use crate::metrics::{JobRecord, SchedMetrics};
-use crate::policy::{PlacementKind, PlacementPolicy, RandomPlacement, RoundRobinPlacement};
+use crate::policy::PlacementKind;
 use crate::pool::Pool;
 use crate::queue::{JobQueue, JobSpec, PendingTask, QueueDiscipline};
 use crate::trace::{
@@ -766,7 +766,7 @@ fn gather_sample(sim: &Sim, cal: &Calendar<SchedEvent>) -> StateSample {
     }
     StateSample {
         queue_depth: (sim.queue.len() + sim.gang_queue.len()) as u32,
-        free_machines: sim.pool.candidates().len() as u32,
+        free_machines: sim.pool.candidate_count() as u32,
         running_gangs,
         degraded_gangs,
         pending_events: cal.pending_horizon() as u32,
@@ -1005,25 +1005,29 @@ enum GangPhase {
     Done,
 }
 
-/// Devirtualized placement state: the built-in policy objects held as
-/// an enum of concrete types, so the dispatch loop pays a direct
-/// (inlinable) call instead of a `Box<dyn PlacementPolicy>` virtual
-/// call per placement. Random and round-robin delegate to their one
-/// [`crate::policy`] implementation over the candidate slice;
-/// least-loaded asks [`Pool::least_loaded`], which picks the machine
-/// [`crate::policy::LeastLoadedPlacement`] would.
+/// Devirtualized placement state: the built-in policies as an enum, so
+/// the dispatch loop pays a direct (inlinable) call instead of a
+/// `Box<dyn PlacementPolicy>` virtual call per placement. Every policy
+/// picks from the pool's candidate index, never from the candidate
+/// slice: random draws `next_bounded(candidate_count)` and takes that
+/// candidate in machine order ([`Pool::nth_candidate`]), round-robin
+/// takes the first candidate at or after its cursor, wrapping to the
+/// lowest ([`Pool::next_candidate`]), and least-loaded reads
+/// [`Pool::least_loaded`]. The [`crate::policy`] implementations over
+/// the slice are the reference: the pool's tests check that each pick
+/// is the machine they choose, with the same RNG draws.
 #[derive(Debug)]
 enum PlacementState {
-    Random(RandomPlacement),
-    RoundRobin(RoundRobinPlacement),
+    Random,
+    RoundRobin { next_machine: usize },
     LeastLoaded,
 }
 
 impl PlacementState {
     fn new(kind: PlacementKind) -> Self {
         match kind {
-            PlacementKind::Random => Self::Random(RandomPlacement),
-            PlacementKind::RoundRobin => Self::RoundRobin(RoundRobinPlacement::default()),
+            PlacementKind::Random => Self::Random,
+            PlacementKind::RoundRobin => Self::RoundRobin { next_machine: 0 },
             PlacementKind::LeastLoaded => Self::LeastLoaded,
         }
     }
@@ -1031,14 +1035,16 @@ impl PlacementState {
     /// The machine the next task goes to; `pool` must have a candidate.
     #[inline]
     fn choose(&mut self, pool: &mut Pool, rng: &mut Xoshiro256StarStar) -> usize {
-        let candidates = pool.candidates();
-        match self {
-            Self::Random(p) => candidates[p.choose(candidates, rng)].machine,
-            Self::RoundRobin(p) => candidates[p.choose(candidates, rng)].machine,
-            Self::LeastLoaded => pool
-                .least_loaded()
-                .expect("invariant: placement runs only with a candidate"),
-        }
+        let pick = match self {
+            Self::Random => {
+                pool.nth_candidate(rng.next_bounded(pool.candidate_count() as u64) as usize)
+            }
+            Self::RoundRobin { next_machine } => pool
+                .next_candidate(*next_machine)
+                .inspect(|&m| *next_machine = m + 1),
+            Self::LeastLoaded => pool.least_loaded(),
+        };
+        pick.expect("invariant: placement runs only with a candidate")
     }
 }
 
@@ -1340,7 +1346,7 @@ fn dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, trace
         if sim.done || sim.queue.is_empty() {
             return;
         }
-        if sim.pool.candidates().is_empty() {
+        if sim.pool.candidate_count() == 0 {
             return;
         }
         let now = cal.now().as_f64();
@@ -2059,7 +2065,7 @@ fn frag_update(sim: &mut Sim, now: f64) {
     }
     sim.frag_t = now;
     sim.frag_waiting = !sim.gang_queue.is_empty();
-    sim.frag_free = sim.pool.candidates().len();
+    sim.frag_free = sim.pool.candidate_count();
 }
 
 /// Owner reclaim on machine `m` under a gang policy. The reclaimed
@@ -2262,7 +2268,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             frag_update(sim, now);
             return;
         }
-        let no_candidates = sim.pool.candidates().is_empty();
+        let no_candidates = sim.pool.candidate_count() == 0;
         let grower = if sim.gang_policy.is_partial() && !no_candidates {
             sim.growers.first().copied()
         } else {
@@ -2315,7 +2321,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                 frag_update(sim, now);
                 return;
             }
-            let free = sim.pool.candidates().len();
+            let free = sim.pool.candidate_count();
             let Some(pending) = sim.gang_queue.pop_fitting(sim.discipline, free) else {
                 frag_update(sim, now);
                 return;

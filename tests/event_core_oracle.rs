@@ -2,7 +2,7 @@
 //! closure-calendar engines, which the typed-calendar engines
 //! (`nds_des::Calendar<E>`) must reproduce **bit-for-bit**.
 //!
-//! Two families of sections are pinned:
+//! Four families of sections are pinned:
 //! * scheduler `SchedMetrics`, recorded before `nds-sched` moved onto
 //!   `Calendar<SchedEvent>`;
 //! * the continuous-time cluster simulators (`ContinuousWorkstation`,
@@ -10,7 +10,10 @@
 //!   moved onto private `Calendar` event enums;
 //! * least-loaded placement on pools of 160–256 machines, recorded
 //!   from the linear candidate scan before `Pool` gained its indexed
-//!   heap, which only pools of 128 machines or more use.
+//!   heap, which only pools of 128 machines or more use;
+//! * random and round-robin placement (and a partial gang under
+//!   random placement) on a 200-machine pool, recorded before `Pool`
+//!   replaced its machine-ordered candidate slice with a bitset.
 //!
 //! Every section is compared as `Debug` strings, and `f64`'s `Debug`
 //! prints the shortest string that round-trips, so byte equality here
@@ -257,7 +260,9 @@ fn streamed(cfg: &SchedConfig, jobs: Vec<JobSpec>, chunk: usize) -> SchedMetrics
 /// heap: a streamed independent-task day, the same day with crashes,
 /// seeded estimates and an admission threshold that machines cross
 /// both ways, and a partial-gang stream that reaches the grower and
-/// gang admission.
+/// gang admission. Then the same kinds of runs under random and
+/// round-robin placement on 200 machines, whose picks walk a candidate
+/// set of four 64-machine words.
 fn large_pool_sections() -> Vec<(&'static str, SchedMetrics)> {
     let mut out = Vec::new();
 
@@ -285,18 +290,53 @@ fn large_pool_sections() -> Vec<(&'static str, SchedMetrics)> {
         streamed(&faults, job_mix(400, 2.0), 48),
     ));
 
-    let gangs = (0..60)
+    let gangs: Vec<JobSpec> = (0..60)
         .map(|j| JobSpec {
             tasks: 3 + j * 17 % 48,
             task_demand: f64::from(30 + j * 11 % 40),
             arrival: f64::from(j) * 3.0,
         })
         .collect();
-    let mut gang = SchedConfig::homogeneous(160, &owner(0.25), gangs);
+    let mut gang = SchedConfig::homogeneous(160, &owner(0.25), gangs.clone());
     gang.gang = GangPolicy::Partial { min_running: 2 };
     gang.seed = 0x6A46;
     out.push((
         "gang_160_partial_floor2",
+        gang.run().expect("gang oracle completes"),
+    ));
+
+    // Random and round-robin placement on a 200-machine pool: more
+    // than one 64-machine word of `Pool`'s candidate set, the last one
+    // partial.
+    let mut random = SchedConfig::homogeneous(200, &owner(0.20), Vec::new());
+    random.placement = PlacementKind::Random;
+    random.seed = 0x2A4D;
+    out.push((
+        "indep_200_random_streamed",
+        streamed(&random, job_mix(400, 1.5), 48),
+    ));
+
+    let owners = (0..200)
+        .map(|i| owner(0.10 + 0.20 * f64::from(i % 4)))
+        .collect();
+    let mut rr = SchedConfig::homogeneous(1, &owner(0.20), Vec::new());
+    rr.owners = owners;
+    rr.placement = PlacementKind::RoundRobin;
+    rr.calibration_horizon = 500.0;
+    rr.admission_threshold = 0.6;
+    rr.estimator_tau = 40.0;
+    rr.seed = 0x0B0B;
+    out.push((
+        "indep_200_round_robin_fenced_streamed",
+        streamed(&rr, job_mix(400, 2.0), 48),
+    ));
+
+    let mut gang = SchedConfig::homogeneous(200, &owner(0.25), gangs);
+    gang.gang = GangPolicy::Partial { min_running: 2 };
+    gang.placement = PlacementKind::Random;
+    gang.seed = 0x6A47;
+    out.push((
+        "gang_200_partial_floor2_random",
         gang.run().expect("gang oracle completes"),
     ));
     out
