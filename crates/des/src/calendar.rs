@@ -22,6 +22,19 @@
 //!   state directly (`&mut Sim`) instead of threading it through
 //!   `Rc<RefCell<..>>` captures.
 //!
+//! **The hold operation.** A handler almost always schedules before
+//! the next pop, so [`Calendar::pop`] copies the top entry out and
+//! leaves it in the heap as a *hole*. The next [`Calendar::schedule`]
+//! or [`Calendar::post`] overwrites the hole and sifts it down once,
+//! where a plain heap pop followed by a push costs a sift to the
+//! bottom, a sift-up and another sift-up (the "hold" of event-set
+//! studies; Jones, CACM 1986). A pop with no push before it removes
+//! the hole first. Keys are unique and the hole holds the smallest
+//! one, so the pop order is the same either way. The payload must be
+//! `Copy`, because the value handed out stays behind in the hole, and
+//! between a pop and the next push the heap can hold one entry more
+//! than the live horizon.
+//!
 //! Ordering is earliest time first, ties broken by insertion sequence
 //! number (shared by [`Calendar::schedule`], [`Calendar::post`] and
 //! [`Calendar::schedule_sorted`]), which keeps runs bit-for-bit
@@ -110,12 +123,15 @@ fn key_time(key: u128) -> SimTime {
 /// [`Calendar::with_tracer`] to observe schedules/pops/cancels without
 /// touching the engine code (see [`crate::CalendarProbe`]).
 ///
+/// Payloads are `Copy` (see the module docs on the hold operation); a
+/// model with a richer event can store an index into a side table.
+///
 /// # Example
 ///
 /// ```
 /// use nds_des::{Calendar, SimTime};
 ///
-/// #[derive(Debug, PartialEq)]
+/// #[derive(Debug, Clone, Copy, PartialEq)]
 /// enum Ev { Ping, Pong }
 ///
 /// let mut cal = Calendar::new();
@@ -133,6 +149,9 @@ pub struct Calendar<E, T = NoTrace> {
     clock: SimTime,
     next_seq: u64,
     heap: BinaryHeap<Entry<E>>,
+    /// Whether the heap's top is the entry the last [`Calendar::pop`]
+    /// returned, left in place for the next push to overwrite.
+    hole: bool,
     /// Per-slot retirement generation; a handle or heap entry is live
     /// only while its recorded generation matches. (Payloads live in
     /// the heap entries themselves — the slab holds nothing but
@@ -158,7 +177,7 @@ pub struct Calendar<E, T = NoTrace> {
     tracer: T,
 }
 
-impl<E, T: Tracer<E> + Default> Default for Calendar<E, T> {
+impl<E: Copy, T: Tracer<E> + Default> Default for Calendar<E, T> {
     fn default() -> Self {
         Self::with_tracer(0, T::default())
     }
@@ -168,26 +187,29 @@ impl<E, T: Tracer<E> + Default> Default for Calendar<E, T> {
 // plain `Calendar::new()` expressions keep inferring the default
 // tracer (type-parameter defaults do not participate in expression
 // inference); traced calendars come from `with_tracer`.
-impl<E> Calendar<E> {
+impl<E: Copy> Calendar<E> {
     /// A fresh calendar at time zero.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// A fresh calendar with room for `capacity` simultaneous events
-    /// before any allocation.
+    /// before any allocation. The hole a [`Calendar::pop`] leaves
+    /// needs no room of its own: it takes the place of the event just
+    /// popped, so a pop and a push never grow the heap.
     pub fn with_capacity(capacity: usize) -> Self {
         Self::with_tracer(capacity, NoTrace)
     }
 }
 
-impl<E, T: Tracer<E>> Calendar<E, T> {
+impl<E: Copy, T: Tracer<E>> Calendar<E, T> {
     /// A fresh calendar observed by `tracer`.
     pub fn with_tracer(capacity: usize, tracer: T) -> Self {
         Self {
             clock: SimTime::ZERO,
             next_seq: 0,
             heap: BinaryHeap::with_capacity(capacity),
+            hole: false,
             gens: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             backlog: VecDeque::new(),
@@ -244,7 +266,9 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         self.live == 0
     }
 
-    /// Schedule `event` at absolute time `at` (>= now).
+    /// Schedule `event` at absolute time `at` (>= now). If the last
+    /// [`Calendar::pop`] left a hole, the event fills it with one
+    /// sift-down instead of growing the heap.
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: E) -> Result<EventHandle, DesError> {
         if at < self.clock {
@@ -269,7 +293,7 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         if T::ENABLED {
             self.tracer.on_schedule(at, &event);
         }
-        self.heap.push(Entry {
+        self.push(Entry {
             key: pack_key(at, seq),
             payload: event,
             slot,
@@ -346,7 +370,8 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
     /// fire-and-forget lane for events that are never revoked (owner
     /// arrivals/departures, job arrivals); ordering against
     /// [`Calendar::schedule`]d events is identical (one shared
-    /// sequence counter).
+    /// sequence counter), and so is the filling of a hole left by
+    /// [`Calendar::pop`].
     #[inline]
     pub fn post(&mut self, at: SimTime, event: E) -> Result<(), DesError> {
         if at < self.clock {
@@ -361,7 +386,7 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         if T::ENABLED {
             self.tracer.on_schedule(at, &event);
         }
-        self.heap.push(Entry {
+        self.push(Entry {
             key: pack_key(at, seq),
             payload: event,
             slot: UNMANAGED,
@@ -397,9 +422,25 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         }
     }
 
-    /// Drop cancelled entries off the top of the heap so `peek` sees a
-    /// live entry (or nothing).
+    /// Put `entry` on the heap: over the hole with one sift-down if
+    /// there is one, else by a plain push.
+    #[inline]
+    fn push(&mut self, entry: Entry<E>) {
+        if self.hole {
+            self.hole = false;
+            *self.heap.peek_mut().expect("a hole is a heap entry") = entry;
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Drop the hole, if no push filled it, and cancelled entries off
+    /// the top of the heap so `peek` sees a live entry (or nothing).
     fn clean_top(&mut self) {
+        if self.hole {
+            self.hole = false;
+            self.heap.pop();
+        }
         while let Some(entry) = self.heap.peek() {
             if entry.slot == UNMANAGED || self.gens[entry.slot as usize] == entry.gen {
                 return;
@@ -414,6 +455,11 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
     /// time, or `None` when the calendar is empty. Cancelled entries
     /// encountered on the way are discarded without counting as
     /// executed. Heap and backlog events interleave by `(time, seq)`.
+    ///
+    /// An event taken from the heap is copied out and its entry stays
+    /// on top as a hole, already retired (its handle is stale), for
+    /// the next [`Calendar::schedule`] or [`Calendar::post`] to
+    /// overwrite; the next pop removes it first if no push came.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.clean_top();
@@ -427,7 +473,8 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
             self.backlog_head = self.backlog.front().map_or(u128::MAX, |&(_, k, _)| k);
             (key, event)
         } else {
-            let entry = self.heap.pop().expect("peeked above");
+            let entry = *self.heap.peek().expect("peeked above");
+            self.hole = true;
             if entry.slot != UNMANAGED {
                 self.gens[entry.slot as usize] = self.gens[entry.slot as usize].wrapping_add(1);
                 self.free.push(entry.slot);
@@ -583,6 +630,58 @@ mod tests {
         cal.pop().unwrap();
         cal.schedule_in(SimTime::new(4.0), Tag(1)).unwrap();
         assert_eq!(cal.pop(), Some((SimTime::new(7.0), Tag(1))));
+    }
+
+    #[test]
+    fn cancelling_the_popped_handle_leaves_the_hole_to_fill() {
+        let mut cal = Calendar::new();
+        let a = cal.schedule(SimTime::new(1.0), Tag(1)).unwrap();
+        cal.schedule(SimTime::new(3.0), Tag(3)).unwrap();
+        assert_eq!(cal.pop(), Some((SimTime::new(1.0), Tag(1))));
+        assert!(cal.hole, "the popped entry stays on top as a hole");
+        assert!(!cal.is_live(a));
+        assert!(!cal.cancel(a), "the popped event already fired");
+        assert_eq!((cal.pending(), cal.heap.len()), (1, 2));
+        // The next push takes the hole's place: the heap does not grow.
+        let b = cal.schedule(SimTime::new(2.0), Tag(2)).unwrap();
+        assert!(!cal.hole && cal.is_live(b));
+        assert_eq!((cal.pending(), cal.heap.len()), (2, 2));
+        assert_eq!(drain(&mut cal), vec![(2.0, 2), (3.0, 3)]);
+    }
+
+    #[test]
+    fn two_pops_with_no_push_between_them() {
+        let mut cal = Calendar::new();
+        cal.post(SimTime::new(1.0), Tag(1)).unwrap();
+        cal.post(SimTime::new(2.0), Tag(2)).unwrap();
+        cal.schedule(SimTime::new(3.0), Tag(3)).unwrap();
+        assert_eq!(cal.pop(), Some((SimTime::new(1.0), Tag(1))));
+        // The second pop drops the first hole instead of firing it
+        // again (a posted entry has no generation to go stale).
+        assert_eq!(cal.pop(), Some((SimTime::new(2.0), Tag(2))));
+        assert_eq!((cal.pending(), cal.heap.len()), (1, 2));
+        cal.post(SimTime::new(4.0), Tag(4)).unwrap();
+        assert_eq!(cal.heap.len(), 2, "the post filled the second hole");
+        assert_eq!(drain(&mut cal), vec![(3.0, 3), (4.0, 4)]);
+        assert!(cal.heap.is_empty() && !cal.hole);
+    }
+
+    #[test]
+    fn backlog_head_before_the_holes_successor() {
+        let mut cal = Calendar::new();
+        cal.post(SimTime::new(1.0), Tag(1)).unwrap();
+        cal.post(SimTime::new(5.0), Tag(5)).unwrap();
+        cal.schedule_sorted([(SimTime::new(2.0), Tag(2)), (SimTime::new(6.0), Tag(6))])
+            .unwrap();
+        assert_eq!(cal.pop(), Some((SimTime::new(1.0), Tag(1))));
+        // The backlog head (2.0) precedes the hole's successor (5.0):
+        // the pop removes the hole, takes the backlog head and leaves
+        // no hole behind, so the next push must not overwrite the top.
+        assert_eq!(cal.pop(), Some((SimTime::new(2.0), Tag(2))));
+        assert!(!cal.hole);
+        assert_eq!((cal.pending(), cal.pending_horizon()), (2, 1));
+        cal.post(SimTime::new(3.0), Tag(3)).unwrap();
+        assert_eq!(drain(&mut cal), vec![(3.0, 3), (5.0, 5), (6.0, 6)]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!
 //! Each subcommand declares one flag table, and one parser checks the
 //! whole line against it before anything runs. An unknown, repeated,
-//! value-less, unparsable or out-of-range flag, or a stray positional,
+//! value-less, unparsable or out-of-range flag, a stray positional, or
+//! a policy flag the chosen policy never reads (`--interval` under
+//! restart eviction, `--min-running` under `--gang suspend-all`),
 //! exits 2 with `<cmd>: <reason>` on stderr and nothing on stdout.
 //! `nds help` and `nds <cmd> --help` are printed from the tables.
 //! Exit codes: 0 ok, 1 a run that failed or a negative verdict, 2 a
@@ -354,6 +356,11 @@ impl Args {
         self.get(name, |k| matches!(k, Kind::Switch)).is_some()
     }
 
+    /// Whether `name` was given, whatever its kind.
+    fn given(&self, name: &str) -> bool {
+        self.get(name, |_| true).is_some()
+    }
+
     fn text(&self, name: &str) -> Option<&str> {
         match self.get(name, |k| matches!(k, Kind::Text))? {
             Value::Text(s) => Some(s),
@@ -680,7 +687,8 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
         .seed(a.int("--seed").unwrap_or(2024))
         .replications(reps)
         .metrics_every(a.num("--metrics-every").unwrap_or(100.0));
-    let (placement, eviction, discipline) = (placement.name(), eviction.label(), discipline.name());
+    let (placement, eviction_label, discipline) =
+        (placement.name(), eviction.label(), discipline.name());
     let mut gang = GangPolicy::Off;
     let title = match family {
         Family::Sched => {
@@ -694,7 +702,8 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
             b = b.workload(closed(JobSpec::stream(jobs, tasks, demand, gap)));
             format!(
                 "cycle-stealing pool: W={w}, U={u}, O={o}, {jobs} jobs x {tasks} tasks x {demand}, \
-                 {placement} placement, {eviction} eviction, {discipline} queue ({reps} reps)"
+                 {placement} placement, {eviction_label} eviction, {discipline} queue \
+                 ({reps} reps)"
             )
         }
         Family::Stream => {
@@ -711,8 +720,8 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
             b = b.workload(arrivals.jobs(jobs).warmup(warmup));
             format!(
                 "open Poisson stream: λ={rate}, W={w}, U={u}, O={o}, {jobs} jobs x {tasks} tasks x \
-                 {demand} ({warmup} warm-up, {placement} placement, {eviction} eviction, \
-                 {discipline} queue, {reps} reps)"
+                 {demand} ({warmup} warm-up, {placement} placement, \
+                 {eviction_label} eviction, {discipline} queue, {reps} reps)"
             )
         }
         Family::Gang => {
@@ -727,6 +736,11 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
             // defaults to half the gang (rounded up by the per-job
             // clamp). A fractional floor picks PartialFrac directly.
             let (floor, frac) = (a.int("--min-running"), a.num("--min-running-frac"));
+            if floor.is_some() && frac.is_some() {
+                return Err(usage(
+                    "--min-running and --min-running-frac both set the floor; give one",
+                ));
+            }
             let implied = if floor.is_some() || frac.is_some() {
                 "partial"
             } else {
@@ -751,6 +765,7 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
             )
         }
     };
+    inert_flags(a, eviction, gang)?;
     let builder = faults(observe(b, a), a)?;
     Ok(Experiment {
         title,
@@ -758,6 +773,50 @@ fn experiment(a: &Args, family: Family, reps: u64) -> Result<Experiment, CliErro
         gang,
         builder,
     })
+}
+
+/// Reject a policy flag that the chosen eviction and gang policies
+/// never read: a usage error, not a silent no-op. `gang` pays
+/// `--overhead` only under migrate-all, and its independent-task
+/// baseline runs under the eviction policy.
+fn inert_flags(a: &Args, eviction: EvictionPolicy, gang: GangPolicy) -> Result<(), CliError> {
+    use EvictionPolicy::{Adaptive, Checkpoint, Restart, SuspendResume};
+    let checkpoints = matches!(eviction, Checkpoint { .. } | Adaptive { .. });
+    let adaptive = matches!(eviction, Adaptive { .. });
+    let pays = !matches!(eviction, Restart | SuspendResume)
+        || matches!(gang, GangPolicy::MigrateAll { .. });
+    let partial = gang.is_partial();
+    let evicting = match gang {
+        GangPolicy::Off => format!("{} eviction", eviction.label()),
+        gang => format!("{} eviction and gang {}", eviction.label(), gang.label()),
+    };
+    let gang = format!("gang {}", gang.label());
+    // Each flag, whether the chosen policies read it, those policies,
+    // and the ones that would read it.
+    let rules = [
+        (
+            "--interval",
+            checkpoints,
+            &evicting,
+            "checkpoint and adaptive eviction",
+        ),
+        ("--threshold", adaptive, &evicting, "adaptive eviction"),
+        (
+            "--overhead",
+            pays,
+            &evicting,
+            "migrate, checkpoint, adaptive or gang migrate-all",
+        ),
+        ("--min-running", partial, &gang, "gang partial"),
+        ("--min-running-frac", partial, &gang, "gang partial"),
+    ];
+    let inert = rules.into_iter().find(|&(f, read, ..)| !read && a.given(f));
+    match inert {
+        Some((flag, _, under, readers)) => Err(usage(format!(
+            "{flag} has no effect under {under} (read only under {readers})"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Apply the observability flags: `--progress` (stderr heartbeat),

@@ -7,8 +7,14 @@
 //! indistinguishable from plain scheduling. This is the
 //! engine-equivalence half of the event core's correctness argument;
 //! `tests/event_core_oracle.rs` is the end-to-end half.
+//!
+//! `calendar_matches_reference_step_by_step` drives both through random
+//! operation sequences and compares every observable after every step,
+//! which covers the hole a pop leaves for the next push to fill: pops
+//! with and without a push after them, cancels of the handle just
+//! popped, and backlog heads that overtake the heap.
 
-use nds::des::{Calendar, SimTime};
+use nds::des::{Calendar, EventHandle, SimTime};
 use proptest::prelude::*;
 
 /// One scheduled event of the random workload: a start time, whether
@@ -105,8 +111,177 @@ fn run_calendar(specs: &[Spec], post_followups: bool) -> Log {
     log
 }
 
+/// One step of a random calendar session.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `schedule` at `now + delay`.
+    Schedule(u8),
+    /// `post` at `now + delay`.
+    Post(u8),
+    /// `schedule_sorted` of `len` events from `gap` past the backlog
+    /// floor, two to a time so batches carry ties.
+    Sorted {
+        gap: u8,
+        len: u8,
+    },
+    /// `cancel` of the `n`-th handle ever issued (modulo their count).
+    Cancel(u16),
+    /// `cancel` of the handle whose event the last pop returned.
+    CancelPopped,
+    Pop,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..10, 0u8..6, 0u8..4, 0u16..256).prop_map(|(kind, a, b, n)| match kind {
+        0 | 1 => Op::Schedule(a),
+        2 => Op::Post(a),
+        3 => Op::Sorted { gap: a, len: b },
+        4 => Op::Cancel(n),
+        5 => Op::CancelPopped,
+        _ => Op::Pop,
+    })
+}
+
+/// The linear-scan reference: every event ever inserted, by insertion
+/// number (its tag and sequence number), with its time, whether it is
+/// still pending, and whether it entered through the backlog.
+#[derive(Default)]
+struct Reference {
+    now: f64,
+    executed: u64,
+    events: Vec<(f64, bool, bool)>,
+    /// Time of the last backlog event, the floor of the next batch.
+    backlog_tail: f64,
+}
+
+impl Reference {
+    fn insert(&mut self, time: f64, backlog: bool) -> u32 {
+        self.events.push((time, true, backlog));
+        (self.events.len() - 1) as u32
+    }
+
+    fn pop(&mut self) -> Option<(f64, u32)> {
+        let next = (0..self.events.len())
+            .filter(|&i| self.events[i].1)
+            .min_by(|&a, &b| {
+                self.events[a]
+                    .0
+                    .total_cmp(&self.events[b].0)
+                    .then(a.cmp(&b))
+            })?;
+        self.events[next].1 = false;
+        self.executed += 1;
+        self.now = self.events[next].0;
+        Some((self.now, next as u32))
+    }
+
+    fn cancel(&mut self, tag: u32) -> bool {
+        std::mem::replace(&mut self.events[tag as usize].1, false)
+    }
+
+    fn pending(&self, backlog: bool) -> usize {
+        self.events
+            .iter()
+            .filter(|e| e.1 && (backlog || !e.2))
+            .count()
+    }
+}
+
+/// Run `ops` on the calendar and the reference side by side; `Err`
+/// names the first step where an observable differs.
+fn run_session(ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut cal: Calendar<u32> = Calendar::new();
+    let mut reference = Reference::default();
+    // Every handle ever issued, with its event's tag.
+    let mut handles: Vec<(EventHandle, u32)> = Vec::new();
+    let mut popped: Option<u32> = None;
+    for (step, &op) in ops.iter().enumerate() {
+        let now = reference.now;
+        match op {
+            Op::Schedule(delay) => {
+                let at = now + f64::from(delay);
+                let tag = reference.insert(at, false);
+                handles.push((cal.schedule(SimTime::new(at), tag).unwrap(), tag));
+            }
+            Op::Post(delay) => {
+                let at = now + f64::from(delay);
+                let tag = reference.insert(at, false);
+                cal.post(SimTime::new(at), tag).unwrap();
+            }
+            Op::Sorted { gap, len } => {
+                let floor = reference.backlog_tail.max(now) + f64::from(gap);
+                let batch: Vec<(SimTime, u32)> = (0..len)
+                    .map(|i| {
+                        let at = floor + f64::from(i / 2);
+                        reference.backlog_tail = at;
+                        (SimTime::new(at), reference.insert(at, true))
+                    })
+                    .collect();
+                cal.schedule_sorted(batch).unwrap();
+            }
+            Op::Cancel(n) if !handles.is_empty() => {
+                let (handle, tag) = handles[usize::from(n) % handles.len()];
+                prop_assert_eq!(cal.cancel(handle), reference.cancel(tag), "step {}", step);
+            }
+            Op::CancelPopped => {
+                if let Some(&(handle, tag)) = handles.iter().find(|h| Some(h.1) == popped) {
+                    prop_assert!(
+                        !cal.cancel(handle),
+                        "step {}: a fired event cancelled",
+                        step
+                    );
+                    prop_assert!(!reference.cancel(tag));
+                }
+            }
+            Op::Cancel(_) => {}
+            Op::Pop => {
+                let got = cal.pop().map(|(t, tag)| (t.as_f64(), tag));
+                let want = reference.pop();
+                prop_assert_eq!(got, want, "step {}: pop", step);
+                popped = want.map(|(_, tag)| tag);
+            }
+        }
+        prop_assert_eq!(cal.pending(), reference.pending(true), "step {}", step);
+        prop_assert_eq!(
+            cal.pending_horizon(),
+            reference.pending(false),
+            "step {}",
+            step
+        );
+        prop_assert_eq!(cal.executed(), reference.executed, "step {}", step);
+        prop_assert_eq!(cal.now().as_f64(), reference.now, "step {}", step);
+        for &(handle, tag) in &handles {
+            let live = reference.events[tag as usize].1;
+            prop_assert_eq!(
+                cal.is_live(handle),
+                live,
+                "step {}: handle of {}",
+                step,
+                tag
+            );
+        }
+    }
+    // Draining both ends the session in the same order.
+    loop {
+        let (got, want) = (cal.pop(), reference.pop());
+        prop_assert_eq!(got.map(|(t, tag)| (t.as_f64(), tag)), want);
+        if want.is_none() {
+            return Ok(());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every observable of the calendar matches the linear-scan
+    /// reference after every step of a random session of schedules,
+    /// posts, sorted batches, cancels (of any handle ever issued,
+    /// the one just popped included) and pops.
+    #[test]
+    fn calendar_matches_reference_step_by_step(ops in proptest::collection::vec(op(), 0..80)) {
+        run_session(&ops)?;
+    }
 
     /// The typed calendar replays the reference engine exactly: same
     /// events, same times, same order — ties broken by insertion

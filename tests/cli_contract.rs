@@ -215,6 +215,37 @@ fn rejected_inputs_exit_two() {
     assert!(stderr.contains("unknown command"), "{stderr}");
 }
 
+/// A policy flag the chosen policy never reads is rejected, not
+/// silently ignored. The same flags under a policy that reads them run
+/// in the documented invocations (`--eviction checkpoint --interval 30
+/// --overhead 1`, `--eviction adaptive --threshold 60`, `--gang partial
+/// --min-running 2`).
+#[test]
+fn inert_policy_flags_exit_two() {
+    let dir = scratch("inert");
+    for (line, flag) in [
+        ("sched --eviction restart --interval 5", "--interval"),
+        ("sched --eviction checkpoint --threshold 5", "--threshold"),
+        ("sched --eviction suspend --overhead 9", "--overhead"),
+        (
+            "gang --gang suspend-all --min-running-frac 0.5",
+            "--min-running-frac",
+        ),
+        ("gang --gang suspend-all --min-running 3", "--min-running"),
+        // Two floors: the fraction used to win without a word.
+        (
+            "gang --gang partial --min-running 3 --min-running-frac 0.5",
+            "--min-running-frac",
+        ),
+    ] {
+        let stderr = assert_usage_error(&dir, line);
+        assert!(
+            stderr.contains(flag),
+            "`nds {line}` must name {flag}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn positionals_count_anywhere_on_the_line() {
     let dir = scratch("positionals");
