@@ -54,8 +54,7 @@ struct Measurement {
 }
 
 /// Lower a workload to a bare scheduler configuration around the given
-/// owner population (no gang, defaults elsewhere — the streaming
-/// engine's supported envelope).
+/// owner population (no gang, defaults elsewhere).
 fn config(owners: Vec<OwnerWorkload>, replication: u64) -> SchedConfig {
     SchedConfig {
         owners,

@@ -619,12 +619,12 @@ impl SimBuilder {
     /// [`Workload::feed`] lazily and retires each job's record the
     /// moment it completes, so peak memory is O(chunk + pool) — the
     /// path that makes million-job traces tractable. Results are
-    /// byte-identical to the materialized run (pinned by the workspace
+    /// byte-identical to the materialized run at any chunk size, gang
+    /// policies and exact-time ties included (pinned by the workspace
     /// replay tests), with one caveat: streamed runs deliver per-job
     /// records through the internal sink, so `Report::runs[..].jobs`
     /// stays empty (response statistics and steady state are
-    /// unaffected). Streaming is incompatible with gang policies. It
-    /// combines with
+    /// unaffected). It combines with [`SimBuilder::gang`], with
     /// [`SimBuilder::progress`] (beats then carry no horizon
     /// percentage, since the last arrival is not known up front) and
     /// with [`Sim::run_flight`], which streams as well.
@@ -748,14 +748,6 @@ impl SimBuilder {
                     "{} batches cannot form an interval (need >= 2)",
                     self.batches
                 ),
-            });
-        }
-        if self.stream_chunk > 0 && self.gang.is_on() {
-            return Err(SimError::InvalidPolicy {
-                field: "gang",
-                reason: "gang scheduling needs the whole job set resident and \
-                         cannot combine with .stream_chunk(...)"
-                    .into(),
             });
         }
         Ok(Sim {
@@ -1209,17 +1201,30 @@ mod tests {
     }
 
     #[test]
-    fn stream_chunk_rejects_incompatible_knobs() {
-        let base = || {
-            Sim::pool(4)
+    fn stream_chunk_combines_with_gangs() {
+        let build = |chunk: usize| {
+            let mut b = Sim::pool(4)
                 .owners(owner(0.1))
+                .gang(GangPolicy::SuspendAll)
                 .workload(poisson(0.05, JobShape::new(2, 20.0)).jobs(40).warmup(4))
-                .stream_chunk(8)
+                .batches(4)
+                .seed(8)
+                .replications(2);
+            if chunk > 0 {
+                b = b.stream_chunk(chunk);
+            }
+            b.run().unwrap()
         };
-        let err = base().gang(GangPolicy::SuspendAll).build().unwrap_err();
-        assert!(matches!(err, SimError::InvalidPolicy { field: "gang", .. }));
-        // The compatible configuration builds and runs.
-        assert!(base().run().unwrap().is_consistent());
+        let materialized = build(0);
+        assert!(materialized.is_consistent());
+        let streamed = build(8);
+        assert!(streamed.is_consistent());
+        assert_eq!(materialized.response, streamed.response);
+        assert_eq!(materialized.steady_state, streamed.steady_state);
+        for (m, s) in materialized.runs.iter().zip(&streamed.runs) {
+            assert_eq!(m.makespan, s.makespan);
+            assert!(s.jobs.is_empty(), "records leave through the sink");
+        }
     }
 
     #[test]

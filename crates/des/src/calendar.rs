@@ -35,10 +35,14 @@
 //! between a pop and the next push the heap can hold one entry more
 //! than the live horizon.
 //!
-//! Ordering is earliest time first, ties broken by insertion sequence
-//! number (shared by [`Calendar::schedule`], [`Calendar::post`] and
-//! [`Calendar::schedule_sorted`]), which keeps runs bit-for-bit
-//! deterministic. A model is a closed event enum plus a
+//! Ordering is earliest time first, ties broken by sequence number,
+//! which keeps runs bit-for-bit deterministic. [`Calendar::schedule`]
+//! and [`Calendar::post`] number their events in insertion order;
+//! [`Calendar::schedule_sorted`] numbers its events in a band of their
+//! own (see its docs), so a sorted stream fires the same way whether it
+//! is handed over in one batch or in many.
+//!
+//! A model is a closed event enum plus a
 //! `while let Some((now, ev)) = cal.pop()` loop that owns its state in
 //! locals (see `nds-sched`'s `SchedEvent`, or `nds-cluster`'s
 //! continuous-time simulators for the smallest examples).
@@ -75,6 +79,11 @@ fn pack_key(time: SimTime, seq: u64) -> u128 {
 /// no slab slot backs it, it cannot be cancelled, and pop-time validity
 /// needs no check at all.
 const UNMANAGED: u32 = u32::MAX;
+
+/// First sequence number of events scheduled or posted after the first
+/// sorted event: they tie-break behind every sorted event, however
+/// late the sorted one was handed over.
+const LATE_BAND: u64 = 1 << 63;
 
 /// One heap entry: packed ordering key, the event payload *inline*
 /// (nothing is fetched from a side table on the hot path), and — for
@@ -147,7 +156,13 @@ fn key_time(key: u128) -> SimTime {
 #[derive(Debug)]
 pub struct Calendar<E, T = NoTrace> {
     clock: SimTime,
+    /// Sequence number of the next [`Calendar::schedule`] or
+    /// [`Calendar::post`]; jumps to [`LATE_BAND`] at the first sorted
+    /// event.
     next_seq: u64,
+    /// Sequence number of the next sorted event, or `None` before the
+    /// first one.
+    next_sorted_seq: Option<u64>,
     heap: BinaryHeap<Entry<E>>,
     /// Whether the heap's top is the entry the last [`Calendar::pop`]
     /// returned, left in place for the next push to overwrite.
@@ -208,6 +223,7 @@ impl<E: Copy, T: Tracer<E>> Calendar<E, T> {
         Self {
             clock: SimTime::ZERO,
             next_seq: 0,
+            next_sorted_seq: None,
             heap: BinaryHeap::with_capacity(capacity),
             hole: false,
             gens: Vec::with_capacity(capacity),
@@ -312,14 +328,22 @@ impl<E: Copy, T: Tracer<E>> Calendar<E, T> {
     /// routing them through the heap.
     ///
     /// The events enter a FIFO backlog that [`Calendar::pop`] merges
-    /// with the heap by `(time, seq)`; sequence numbers are allocated
-    /// here, in iteration order, exactly as if each event had been
-    /// [`Calendar::schedule`]d in turn — tie-breaking against heap
-    /// events and within the batch is therefore *identical* to the
-    /// plain path. What changes is purely mechanical: the heap (and
-    /// slab) stay sized to the live event horizon instead of holding
-    /// the whole experiment's arrival stream, which is worth a large
-    /// constant factor on open-stream workloads (see `perf_core`).
+    /// with the heap by `(time, seq)`, so the heap (and slab) stay
+    /// sized to the live event horizon instead of holding the whole
+    /// experiment's arrival stream, which is worth a large constant
+    /// factor on open-stream workloads (see `perf_core`).
+    ///
+    /// Sorted events are numbered in a band of their own. The first
+    /// sorted event ever takes the next sequence number and later
+    /// sorted events, in this batch or any later one, number on from
+    /// it; every [`Calendar::schedule`] or [`Calendar::post`] after
+    /// that first event numbers from 2^63. At equal times, events
+    /// therefore fire in three bands: those scheduled before the first
+    /// sorted event, then the sorted events in order, then those
+    /// scheduled later. A stream handed over in one batch before the
+    /// first pop fires exactly as if each event had been scheduled in
+    /// turn; one handed over in chunks, each as the previous chunk's
+    /// last event fires, fires exactly like the one-batch stream.
     ///
     /// Backlog events cannot be cancelled (no handles are returned) —
     /// use the plain path for anything that might be revoked. Times
@@ -342,8 +366,12 @@ impl<E: Copy, T: Tracer<E>> Calendar<E, T> {
                     requested: at.as_f64(),
                 });
             }
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.next_sorted_seq.unwrap_or_else(|| {
+                let first = self.next_seq;
+                self.next_seq = LATE_BAND;
+                first
+            });
+            self.next_sorted_seq = Some(seq + 1);
             self.live += 1;
             if T::ENABLED {
                 self.tracer.on_schedule(at, &event);
@@ -682,6 +710,20 @@ mod tests {
         assert_eq!((cal.pending(), cal.pending_horizon()), (2, 1));
         cal.post(SimTime::new(3.0), Tag(3)).unwrap();
         assert_eq!(drain(&mut cal), vec![(3.0, 3), (5.0, 5), (6.0, 6)]);
+    }
+
+    #[test]
+    fn a_later_sorted_batch_fires_before_heap_ties_scheduled_after_the_first() {
+        let mut cal = Calendar::new();
+        cal.post(SimTime::new(5.0), Tag(0)).unwrap();
+        cal.schedule_sorted([(SimTime::new(1.0), Tag(1))]).unwrap();
+        assert_eq!(cal.pop(), Some((SimTime::new(1.0), Tag(1))));
+        // Scheduled between the batches, at the time the second batch
+        // will also use: it numbers behind every sorted event.
+        cal.schedule(SimTime::new(5.0), Tag(2)).unwrap();
+        cal.schedule_sorted([(SimTime::new(5.0), Tag(3))]).unwrap();
+        // Bands at t = 5: before the first batch, sorted, after it.
+        assert_eq!(drain(&mut cal), vec![(5.0, 0), (5.0, 3), (5.0, 2)]);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! (no coroutines), which keeps it deterministic, allocation-light, and
 //! trivially reproducible from a seed. Determinism guarantee: two runs
 //! with the same seed and same schedule order produce identical event
-//! sequences — ties in time are broken by insertion sequence number.
+//! sequences — ties in time are broken by sequence number, which
+//! follows insertion order within each of the calendar's three bands
+//! (see [`calendar::Calendar::schedule_sorted`]).
 
 #![forbid(unsafe_code)]
 

@@ -26,9 +26,12 @@
 //! list whose completed records are collected into
 //! [`SchedMetrics::jobs`]; a streamed run ([`SchedConfig::run_streamed`],
 //! [`SchedConfig::run_streamed_traced`]) pulls chunks as its arrivals
-//! fire and hands each record to the caller's sink. Arrivals draw their
-//! calendar sequence numbers in submission order either way, so a
-//! tracer sees the same run at any chunk size.
+//! fire and hands each record to the caller's sink. Arrivals enter the
+//! calendar's sorted band ([`nds_des::Calendar::schedule_sorted`])
+//! either way, so they tie-break against other events exactly as if
+//! every one had been scheduled before the first event, and a tracer
+//! sees the same run at any chunk size. Gang state lives beside each
+//! job's state and retires with it, so gang runs stream too.
 //!
 //! # The zero-allocation hot path
 //!
@@ -179,67 +182,11 @@ impl SchedConfig {
         }
     }
 
-    /// Validate every field.
+    /// Validate every knob. The job list is not read here: each job's
+    /// spec and gang floor are checked once, when the run admits it
+    /// (before the first event for a materialized list), and an error
+    /// names the job's submission index.
     pub fn validate(&self) -> Result<(), SchedError> {
-        self.validate_shared()?;
-        let invalid = |field, reason: String| Err(SchedError::InvalidConfig { field, reason });
-        if self.jobs.is_empty() {
-            return invalid("jobs", "need at least one job".into());
-        }
-        for (i, j) in self.jobs.iter().enumerate() {
-            validate_job_spec(i, j)?;
-        }
-        if self.gang.is_on() {
-            for (i, j) in self.jobs.iter().enumerate() {
-                // All-or-nothing gangs need their full width free at
-                // once; partial gangs only their min_running floor (a
-                // wider-than-pool job then simply never leaves
-                // degraded mode).
-                let need = self.gang.floor_for(j.tasks);
-                if need as usize > self.owners.len() {
-                    return invalid(
-                        "jobs",
-                        format!(
-                            "job {i} needs {need} machines at once (gang floor) but \
-                             the pool has {}: the gang can never be co-allocated",
-                            self.owners.len()
-                        ),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Validate for a streamed run ([`SchedConfig::run_streamed`]),
-    /// where jobs arrive from a [`JobFeed`] instead of `self.jobs`
-    /// (which is ignored on that path). Gang scheduling needs the full
-    /// job table up front for co-allocation state, so streaming
-    /// requires [`GangPolicy::Off`]; per-job fields are validated
-    /// chunk by chunk as the feed delivers them.
-    pub fn validate_streamed(&self, chunk: usize) -> Result<(), SchedError> {
-        self.validate_shared()?;
-        let invalid = |field, reason: String| Err(SchedError::InvalidConfig { field, reason });
-        if chunk == 0 {
-            return invalid(
-                "chunk",
-                "streamed runs need a chunk size of at least 1".into(),
-            );
-        }
-        if self.gang.is_on() {
-            return invalid(
-                "gang",
-                "gang scheduling needs the full job table up front; \
-                 streamed runs require GangPolicy::Off"
-                    .into(),
-            );
-        }
-        Ok(())
-    }
-
-    /// The field checks shared by materialized and streamed runs —
-    /// everything except the job list.
-    fn validate_shared(&self) -> Result<(), SchedError> {
         let invalid = |field, reason: String| Err(SchedError::InvalidConfig { field, reason });
         if self.owners.is_empty() {
             return invalid("owners", "pool needs at least one machine".into());
@@ -355,14 +302,16 @@ impl SchedConfig {
     /// trace length.
     ///
     /// Arrivals must be globally non-decreasing across the whole feed;
-    /// a violation surfaces as a typed [`SchedError::InvalidConfig`]
-    /// naming the offending job index. Gang scheduling is rejected up
-    /// front (see [`SchedConfig::validate_streamed`]). This is the
-    /// untraced [`SchedConfig::run_streamed_traced`]; both run the
-    /// event loop a materialized run uses, so over the same job list
-    /// they replay [`SchedConfig::run_counted`]'s event sequence
-    /// exactly — same RNG draws, same metrics — which the workspace's
-    /// streaming byte-identity tests pin.
+    /// a violation, a bad spec or a gang floor wider than the pool
+    /// surfaces as a typed [`SchedError::InvalidConfig`] naming the
+    /// offending job index, and a zero `chunk` as one naming `chunk`.
+    /// Gang policies stream like independent tasks: a job's gang state
+    /// retires with its record. This is the untraced
+    /// [`SchedConfig::run_streamed_traced`]; both run the event loop a
+    /// materialized run uses, so over the same job list they replay
+    /// [`SchedConfig::run_counted`]'s event sequence exactly — same RNG
+    /// draws, same metrics, exact-time ties included — which the
+    /// workspace's streaming byte-identity tests pin.
     pub fn run_streamed(
         &self,
         feed: &mut dyn JobFeed,
@@ -384,7 +333,13 @@ impl SchedConfig {
         on_job: &mut dyn FnMut(usize, JobRecord),
         tracer: &mut T,
     ) -> Result<(SchedMetrics, u64), SchedError> {
-        self.validate_streamed(chunk)?;
+        self.validate()?;
+        if chunk == 0 {
+            return Err(SchedError::InvalidConfig {
+                field: "chunk",
+                reason: "streamed runs need a chunk size of at least 1".into(),
+            });
+        }
         self.run_feed(
             self.replication,
             feed,
@@ -448,13 +403,13 @@ impl SchedConfig {
             jobs: JobTable {
                 base: 0,
                 states: VecDeque::with_capacity(feeder.chunk),
+                gangs: VecDeque::new(),
             },
             jobs_remaining: 0,
             placement: PlacementState::new(self.placement),
             placement_rng: factory.labeled_stream("sched-placement", replication),
             eviction: self.eviction,
             gang_policy: self.gang,
-            gangs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
             gang_queue: GangQueue::new(),
             machine_gang: vec![None; w],
             growers: BTreeSet::new(),
@@ -597,10 +552,15 @@ impl SchedConfig {
     }
 }
 
-/// Per-spec field checks shared by [`SchedConfig::validate`] and the
-/// streamed path's chunk intake; `i` is the job's absolute submission
-/// index, so streamed errors name the offending trace row.
-fn validate_job_spec(i: usize, j: &JobSpec) -> Result<(), SchedError> {
+/// The admission check of one job: its fields and, under a gang policy,
+/// its floor against the pool's `machines`. `i` is the job's absolute
+/// submission index, so errors name the offending trace row.
+fn validate_job_spec(
+    i: usize,
+    j: &JobSpec,
+    gang: GangPolicy,
+    machines: usize,
+) -> Result<(), SchedError> {
     let invalid = |reason: String| {
         Err(SchedError::InvalidConfig {
             field: "jobs",
@@ -616,6 +576,16 @@ fn validate_job_spec(i: usize, j: &JobSpec) -> Result<(), SchedError> {
     if !(j.arrival.is_finite() && j.arrival >= 0.0) {
         return invalid(format!("job {i} arrival {}", j.arrival));
     }
+    // All-or-nothing gangs need their full width free at once; partial
+    // gangs only their min_running floor (a wider-than-pool job then
+    // simply never leaves degraded mode).
+    let need = gang.floor_for(j.tasks);
+    if gang.is_on() && need as usize > machines {
+        return invalid(format!(
+            "job {i} needs {need} machines at once (gang floor) but the pool \
+             has {machines}: the gang can never be co-allocated"
+        ));
+    }
     Ok(())
 }
 
@@ -625,8 +595,9 @@ fn validate_job_spec(i: usize, j: &JobSpec) -> Result<(), SchedError> {
 /// pre-sorted backlog, which keeps the heap at the live-event horizon
 /// instead of the whole experiment. A closed job list (one chunk
 /// holding every job) may come unsorted; its arrivals are then posted
-/// one by one. Sequence numbers are allocated in submission order
-/// either way, so the event order does not depend on the intake.
+/// one by one, before the first event. Sorted arrivals number in the
+/// calendar's sorted band, so the event order does not depend on the
+/// chunk size, exact-time ties included.
 struct ChunkFeeder {
     chunk: usize,
     /// The feed is a closed job list, delivered as one chunk.
@@ -671,14 +642,16 @@ impl ChunkFeeder {
             self.done = true;
             return Ok(());
         }
+        let (gang, machines) = (sim.gang_policy, sim.machines.len());
         for (k, spec) in self.buf.iter().enumerate() {
-            validate_job_spec(self.scheduled + k, spec)?;
-            sim.jobs.push_back(JobState::of_spec(spec));
-            if sim.gang_policy.is_on() {
-                sim.gangs.push(GangState::of_spec(spec, sim.gang_policy));
-            }
+            validate_job_spec(self.scheduled + k, spec, gang, machines)?;
+            sim.jobs.admit(spec, gang);
             self.total_demand += spec.total_demand();
         }
+        debug_assert!(
+            sim.jobs.gangs.len() == sim.jobs.states.len() * usize::from(gang.is_on()),
+            "the gang window is the job window under a gang policy, else empty"
+        );
         sim.jobs_remaining += n;
         let base = self.scheduled;
         let arrivals = self.buf.iter().enumerate().map(|(k, spec)| {
@@ -751,12 +724,12 @@ fn event_class(event: SchedEvent) -> EventClass {
 }
 
 /// Gather the engine's aggregate state for the tracer. Only called
-/// with tracing enabled — the gang scan is O(#gangs) per event, a cost
-/// the untraced path never pays.
+/// with tracing enabled — the gang scan walks the live job window per
+/// event, a cost the untraced path never pays.
 fn gather_sample(sim: &Sim, cal: &Calendar<SchedEvent>) -> StateSample {
     let mut running_gangs = 0u32;
     let mut degraded_gangs = 0u32;
-    for gang in &sim.gangs {
+    for gang in &sim.jobs.gangs {
         if let GangPhase::Running { .. } = gang.phase {
             running_gangs += 1;
             if running_members(gang) < gang.width {
@@ -875,6 +848,9 @@ impl JobState {
 struct JobTable {
     base: usize,
     states: VecDeque<JobState>,
+    /// Each job's gang state, addressed like `states` and retired with
+    /// it (empty when gangs are off).
+    gangs: VecDeque<GangState>,
 }
 
 impl JobTable {
@@ -884,8 +860,23 @@ impl JobTable {
     }
 
     #[inline]
-    fn push_back(&mut self, state: JobState) {
-        self.states.push_back(state);
+    fn gang(&self, j: usize) -> &GangState {
+        &self.gangs[j - self.base]
+    }
+
+    #[inline]
+    fn gang_mut(&mut self, j: usize) -> &mut GangState {
+        &mut self.gangs[j - self.base]
+    }
+
+    /// Admit `spec` as the next job, with its gang state when `gang` is
+    /// on.
+    #[inline]
+    fn admit(&mut self, spec: &JobSpec, gang: GangPolicy) {
+        self.states.push_back(JobState::of_spec(spec));
+        if gang.is_on() {
+            self.gangs.push_back(GangState::of_spec(spec, gang));
+        }
     }
 
     /// Pop completed jobs off the front (submission order), handing
@@ -902,6 +893,7 @@ impl JobTable {
                 .pop_front()
                 .expect("invariant: front() was Some in the loop guard");
             on_job(self.base, state.record());
+            self.gangs.pop_front();
             self.base += 1;
         }
     }
@@ -1062,8 +1054,6 @@ struct Sim<'a> {
     placement_rng: Xoshiro256StarStar,
     eviction: EvictionPolicy,
     gang_policy: GangPolicy,
-    /// Per-job gang state (parallel to `jobs`; empty when gangs off).
-    gangs: Vec<GangState>,
     gang_queue: GangQueue,
     /// Which gang (job index) occupies each machine, if any.
     machine_gang: Vec<Option<usize>>,
@@ -1097,7 +1087,7 @@ struct Sim<'a> {
 /// Keep `sim.growers` in sync after gang `j`'s membership or phase
 /// changed — the incremental replacement for the old per-dispatch scan.
 fn refresh_grower(sim: &mut Sim, j: usize) {
-    let gang = &sim.gangs[j];
+    let gang = sim.jobs.gang(j);
     let eligible = (gang.members.len() as u32) < gang.width
         && matches!(
             gang.phase,
@@ -1306,7 +1296,7 @@ fn job_arrival<T: SchedTracer>(
         tracer.record(now, SchedRecord::JobArrival { job: j as u32 });
     }
     if sim.gang_policy.is_on() {
-        let min_tasks = sim.gangs[j].floor;
+        let min_tasks = sim.jobs.gang(j).floor;
         sim.gang_queue.push(PendingGang {
             job: j,
             tasks,
@@ -1809,11 +1799,11 @@ fn gang_crash<T: SchedTracer>(
         return ReclaimOutcome::nothing();
     };
     let policy = sim.gang_policy;
-    let outcome = match sim.gangs[j].phase {
+    let outcome = match sim.jobs.gang(j).phase {
         GangPhase::Running { .. } => {
             close_gang_segment(sim, cal, j, now, tracer);
             {
-                let gang = &mut sim.gangs[j];
+                let gang = sim.jobs.gang_mut(j);
                 let idx = member_index(gang, m);
                 gang.member_busy[idx] = true;
                 gang.member_running[idx] = false;
@@ -1824,7 +1814,7 @@ fn gang_crash<T: SchedTracer>(
                     // flees to the queue paying the same restore
                     // overhead as an owner-triggered move.
                     sim.gacc.gang_migrations += 1;
-                    let gang = &mut sim.gangs[j];
+                    let gang = sim.jobs.gang_mut(j);
                     gang.phase = GangPhase::Queued;
                     gang.setup_left = overhead;
                     gang.member_running.clear();
@@ -1855,7 +1845,7 @@ fn gang_crash<T: SchedTracer>(
                 }
                 GangPolicy::Off => unreachable!("gang paths need a gang policy"),
                 _ => {
-                    let gang = &mut sim.gangs[j];
+                    let gang = sim.jobs.gang_mut(j);
                     if running_members(gang) >= gang.floor {
                         gang.phase = GangPhase::Suspended { last_t: now };
                         ReclaimOutcome {
@@ -1877,7 +1867,7 @@ fn gang_crash<T: SchedTracer>(
         GangPhase::Suspended { last_t } => {
             // The gang already sleeps (or runs nothing here): extend
             // the stall bookkeeping and pin the member.
-            let gang = &mut sim.gangs[j];
+            let gang = sim.jobs.gang_mut(j);
             let k = gang.members.len() as u32;
             let busy = busy_members(gang);
             sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
@@ -1977,12 +1967,12 @@ fn gang_violation(gang: &GangState, partial: bool) -> bool {
 /// under the partial policies, a running gang must hold at least its
 /// `min_running` floor and at most its width. Both violation counters
 /// are pinned at zero by the workspace's property tests; a debug
-/// assertion still sweeps every gang, so a cross-gang bug cannot hide
-/// in release builds' incremental check without first failing the
-/// debug suites.
+/// assertion still sweeps every gang in the live job window, so a
+/// cross-gang bug cannot hide in release builds' incremental check
+/// without first failing the debug suites.
 fn verify_gang_invariants(sim: &mut Sim, j: usize) {
     let partial = sim.gang_policy.is_partial();
-    if gang_violation(&sim.gangs[j], partial) {
+    if gang_violation(sim.jobs.gang(j), partial) {
         if partial {
             sim.gacc.floor_violations += 1;
         } else {
@@ -1990,7 +1980,7 @@ fn verify_gang_invariants(sim: &mut Sim, j: usize) {
         }
     }
     debug_assert!(
-        sim.gangs.iter().all(|g| !gang_violation(g, partial)),
+        sim.jobs.gangs.iter().all(|g| !gang_violation(g, partial)),
         "an untouched gang violated its co-scheduling invariant"
     );
 }
@@ -2008,7 +1998,7 @@ fn close_gang_segment<T: SchedTracer>(
     now: f64,
     tracer: &mut T,
 ) {
-    let gang = &mut sim.gangs[j];
+    let gang = sim.jobs.gang_mut(j);
     let GangPhase::Running {
         is_setup,
         rate,
@@ -2086,11 +2076,11 @@ fn gang_owner_reclaim<T: SchedTracer>(
         return ReclaimOutcome::nothing();
     };
     let policy = sim.gang_policy;
-    let outcome = match sim.gangs[j].phase {
+    let outcome = match sim.jobs.gang(j).phase {
         GangPhase::Running { .. } => {
             close_gang_segment(sim, cal, j, now, tracer);
             let evicted_task = {
-                let gang = &mut sim.gangs[j];
+                let gang = sim.jobs.gang_mut(j);
                 let idx = member_index(gang, m);
                 gang.member_busy[idx] = true;
                 gang.member_running[idx] = false;
@@ -2121,7 +2111,7 @@ fn gang_owner_reclaim<T: SchedTracer>(
                     // gang size).
                     sim.acc.migrations += 1;
                     sim.gacc.gang_migrations += 1;
-                    let gang = &mut sim.gangs[j];
+                    let gang = sim.jobs.gang_mut(j);
                     gang.phase = GangPhase::Queued;
                     gang.setup_left = overhead;
                     gang.member_running.clear();
@@ -2156,7 +2146,7 @@ fn gang_owner_reclaim<T: SchedTracer>(
                 // through it) and the partial policies.
                 _ => {
                     sim.acc.suspensions += 1;
-                    let gang = &mut sim.gangs[j];
+                    let gang = sim.jobs.gang_mut(j);
                     if running_members(gang) >= gang.floor {
                         // Degraded mode: the survivors keep computing
                         // at a lower rate. The phase parks Suspended
@@ -2181,7 +2171,7 @@ fn gang_owner_reclaim<T: SchedTracer>(
         GangPhase::Suspended { last_t } => {
             // Another member machine reclaimed while the gang already
             // sleeps: extend the stall bookkeeping, nothing to evict.
-            let gang = &mut sim.gangs[j];
+            let gang = sim.jobs.gang_mut(j);
             let k = gang.members.len() as u32;
             let busy = busy_members(gang);
             sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
@@ -2214,9 +2204,9 @@ fn gang_owner_release<T: SchedTracer>(
     let Some(j) = sim.machine_gang[m] else {
         return Departure::Dispatch;
     };
-    match sim.gangs[j].phase {
+    match sim.jobs.gang(j).phase {
         GangPhase::Suspended { last_t } => {
-            let gang = &mut sim.gangs[j];
+            let gang = sim.jobs.gang_mut(j);
             let k = gang.members.len() as u32;
             let busy = busy_members(gang);
             sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
@@ -2235,12 +2225,12 @@ fn gang_owner_release<T: SchedTracer>(
         // degraded: the member rejoins and the rate steps back up.
         GangPhase::Running { .. } if sim.gang_policy.is_partial() => {
             {
-                let gang = &mut sim.gangs[j];
+                let gang = sim.jobs.gang_mut(j);
                 let idx = member_index(gang, m);
                 gang.member_busy[idx] = false;
             }
             close_gang_segment(sim, cal, j, now, tracer);
-            sim.gangs[j].phase = GangPhase::Suspended { last_t: now };
+            sim.jobs.gang_mut(j).phase = GangPhase::Suspended { last_t: now };
             Departure::ResumeGang(j)
         }
         // Under the all-or-nothing policies a running gang implies
@@ -2276,13 +2266,13 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
         };
         let (j, start) = if let Some(g) = grower {
             // Grow an under-placed gang by one member.
-            let was_running = matches!(sim.gangs[g].phase, GangPhase::Running { .. });
+            let was_running = matches!(sim.jobs.gang(g).phase, GangPhase::Running { .. });
             if was_running {
                 close_gang_segment(sim, cal, g, now, tracer);
-            } else if let GangPhase::Suspended { last_t } = sim.gangs[g].phase {
+            } else if let GangPhase::Suspended { last_t } = sim.jobs.gang(g).phase {
                 // Membership is about to change: settle the stall
                 // integral at the old member count.
-                let gang = &mut sim.gangs[g];
+                let gang = sim.jobs.gang_mut(g);
                 let k = gang.members.len() as u32;
                 let busy = busy_members(gang);
                 sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
@@ -2292,7 +2282,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             sim.pool.set_occupied(now, m, true);
             sim.machine_gang[m] = Some(g);
             sim.acc.placements += 1;
-            let gang = &mut sim.gangs[g];
+            let gang = sim.jobs.gang_mut(g);
             gang.members.push(m);
             gang.member_busy.push(false);
             gang.member_running.push(false);
@@ -2362,7 +2352,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                     );
                 }
             }
-            let gang = &mut sim.gangs[j];
+            let gang = sim.jobs.gang_mut(j);
             gang.member_running = vec![false; n];
             gang.member_busy = vec![false; n];
             gang.members = members;
@@ -2390,7 +2380,7 @@ fn start_gang_segment<T: SchedTracer>(
     tracer: &mut T,
 ) {
     let now = cal.now().as_f64();
-    let gang = &mut sim.gangs[j];
+    let gang = sim.jobs.gang_mut(j);
     let running = resume_gang_members(gang);
     debug_assert!(
         running >= gang.floor,
@@ -2450,7 +2440,7 @@ fn gang_segment_end<T: SchedTracer>(
     tracer: &mut T,
 ) {
     let completed = {
-        let gang = &mut sim.gangs[j];
+        let gang = sim.jobs.gang_mut(j);
         let GangPhase::Running {
             is_setup,
             work,
@@ -2502,7 +2492,7 @@ fn gang_segment_end<T: SchedTracer>(
         start_gang_segment(sim, cal, j, tracer);
         return;
     }
-    let gang = &mut sim.gangs[j];
+    let gang = sim.jobs.gang_mut(j);
     suspend_gang_members(gang);
     gang.phase = GangPhase::Done;
     gang.member_running.clear();
@@ -3209,9 +3199,7 @@ mod tests {
         assert!(m.mean_available_machines <= 6.0);
     }
 
-    /// A sorted multi-job workload whose arrival instants (multiples of
-    /// 13.7) cannot collide with owner events (continuous exponential
-    /// draws), so streamed chunk boundaries never hit an exact-time tie.
+    /// A sorted multi-job workload, arrivals 13.7 apart.
     fn streaming_config() -> SchedConfig {
         let jobs: Vec<JobSpec> = (0u32..40)
             .map(|i| JobSpec {
@@ -3245,6 +3233,83 @@ mod tests {
             got.jobs = records;
             assert_eq!(got, want, "chunk {chunk} diverged from materialized run");
             assert_eq!(events, want_events, "chunk {chunk} executed extra events");
+        }
+    }
+
+    /// Run `cfg`'s job list streamed in chunks of `chunk` and splice the
+    /// retired records back in, checking they retire in submission
+    /// order.
+    fn run_streamed_spliced(cfg: &SchedConfig, chunk: usize) -> (SchedMetrics, u64) {
+        use crate::feed::SliceFeed;
+        let mut records = Vec::new();
+        let (mut got, events) = cfg
+            .run_streamed(&mut SliceFeed::new(&cfg.jobs), chunk, &mut |j, r| {
+                assert_eq!(j, records.len(), "records retire in submission order");
+                records.push(r);
+            })
+            .unwrap();
+        assert!(got.jobs.is_empty(), "streamed metrics carry no job table");
+        got.jobs = records;
+        (got, events)
+    }
+
+    /// Integer arrivals ten apart and integer demands, so segment ends
+    /// tie job arrivals exactly: the chunk boundary must not move them.
+    fn integer_tie_config(w: u32, jobs: Vec<JobSpec>) -> SchedConfig {
+        let mut cfg = SchedConfig::homogeneous(w, &owner(0.05), jobs);
+        cfg.seed = 7;
+        cfg
+    }
+
+    #[test]
+    fn streamed_ties_replay_materialized_at_any_chunk() {
+        let cfg = integer_tie_config(4, JobSpec::stream(300, 1, 10.0, 10.0));
+        let (want, want_events) = cfg.run_counted().unwrap();
+        for chunk in [1usize, 7, 64] {
+            let (got, events) = run_streamed_spliced(&cfg, chunk);
+            assert_eq!(got, want, "chunk {chunk} diverged from materialized run");
+            assert_eq!(events, want_events, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn streamed_gangs_replay_materialized_byte_for_byte() {
+        // Gangs of 1–4 tasks on 8 machines, each demanding 10, 20 or
+        // 30: a gang that starts on arrival ends exactly when a later
+        // one arrives, and which of the two fires first decides
+        // placement, so chunks 1 and 7 diverge without the tie bands.
+        let jobs: Vec<JobSpec> = (0u32..80)
+            .map(|j| JobSpec {
+                tasks: 1 + j % 4,
+                task_demand: f64::from(10 * (1 + j % 3)),
+                arrival: f64::from(j * 10),
+            })
+            .collect();
+        let policies = [
+            GangPolicy::SuspendAll,
+            GangPolicy::MigrateAll { overhead: 2.0 },
+            GangPolicy::Partial { min_running: 2 },
+            GangPolicy::PartialFrac {
+                min_running_frac: 0.5,
+            },
+        ];
+        for policy in policies {
+            for failures in [false, true] {
+                let mut cfg = integer_tie_config(8, jobs.clone());
+                cfg.gang = policy;
+                if failures {
+                    cfg.failures = Some(FailureModel::exponential(200.0, 25.0).unwrap());
+                }
+                let (want, want_events) = cfg.run_counted().unwrap();
+                assert!(want.gang.gang_starts >= 80, "{}", policy.label());
+                assert_eq!(want.crashes > 0, failures, "{}", policy.label());
+                for chunk in [1usize, 7, 64] {
+                    let (got, events) = run_streamed_spliced(&cfg, chunk);
+                    let case = format!("{} failures={failures} chunk {chunk}", policy.label());
+                    assert_eq!(got, want, "{case}");
+                    assert_eq!(events, want_events, "{case}");
+                }
+            }
         }
     }
 
@@ -3295,19 +3360,27 @@ mod tests {
             } => assert!(reason.contains("job 1"), "{reason}"),
             other => panic!("unexpected error {other}"),
         }
-        // Empty feeds, gang configs, and zero chunks are rejected.
+        // A gang wider than the pool is named at admission, chunk by
+        // chunk, by its absolute index.
+        let mut gang_cfg = cfg.clone();
+        gang_cfg.gang = GangPolicy::SuspendAll;
+        let mut wide = cfg.jobs.clone();
+        wide[9].tasks = 7;
+        match gang_cfg
+            .run_streamed(&mut SliceFeed::new(&wide), 4, &mut |_, _| {})
+            .unwrap_err()
+        {
+            SchedError::InvalidConfig {
+                field: "jobs",
+                reason,
+            } => assert!(reason.contains("job 9 "), "{reason}"),
+            other => panic!("unexpected error {other}"),
+        }
+        // Empty feeds and zero chunks are rejected.
         let mut empty = VecFeed::new(Vec::new());
         assert!(matches!(
             cfg.run_streamed(&mut empty, 8, &mut |_, _| {}).unwrap_err(),
             SchedError::InvalidConfig { field: "feed", .. }
-        ));
-        let mut gang_cfg = cfg.clone();
-        gang_cfg.gang = GangPolicy::SuspendAll;
-        assert!(matches!(
-            gang_cfg
-                .run_streamed(&mut SliceFeed::new(&cfg.jobs), 8, &mut |_, _| {})
-                .unwrap_err(),
-            SchedError::InvalidConfig { field: "gang", .. }
         ));
         assert!(matches!(
             cfg.run_streamed(&mut SliceFeed::new(&cfg.jobs), 0, &mut |_, _| {})

@@ -27,7 +27,7 @@ use nds::core::sim::{SimBuilder, SyntheticTrace, TraceWorkload};
 use nds::model::sensitivity::elasticities;
 use nds::model::solver::required_task_ratio;
 use nds::model::ModelError;
-use nds::sched::SchedMetrics;
+use nds::sched::{SchedError, SchedMetrics};
 use std::fmt::Display;
 use std::io::{self, BufRead, Write};
 
@@ -310,12 +310,15 @@ impl From<SimError> for CliError {
     fn from(e: SimError) -> Self {
         match e {
             // Stats errors are configuration mistakes too: the
-            // batch/window split could not form an interval.
+            // batch/window split could not form an interval. So is a
+            // config the engine rejects at admission, such as a gang
+            // wider than the pool; only a run cut short fails.
             SimError::InvalidPool { .. }
             | SimError::InvalidWorkload { .. }
             | SimError::InvalidPolicy { .. }
             | SimError::MissingWorkload
-            | SimError::Stats(_) => usage(e),
+            | SimError::Stats(_)
+            | SimError::Sched(SchedError::InvalidConfig { .. }) => usage(e),
             SimError::Sched(_) | SimError::Cluster(_) => failed(e),
         }
     }

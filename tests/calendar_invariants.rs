@@ -1,10 +1,11 @@
 //! Property tests pinning the typed [`Calendar`] to a linear-scan
 //! reference engine as its behavioural oracle: the two must agree on
-//! execution order (time, then insertion sequence), cancellation
-//! semantics, and clock advancement for *any* schedule — including
-//! ties, cancels, and events scheduled from inside handlers. The
-//! pre-sorted backlog lane and the fire-and-forget `post` lane must be
-//! indistinguishable from plain scheduling. This is the
+//! execution order (time, then band, then insertion sequence),
+//! cancellation semantics, and clock advancement for *any* schedule —
+//! including ties, cancels, and events scheduled from inside handlers.
+//! The fire-and-forget `post` lane must be indistinguishable from plain
+//! scheduling, and so must the pre-sorted backlog lane when it is
+//! handed its whole stream before the first pop. This is the
 //! engine-equivalence half of the event core's correctness argument;
 //! `tests/event_core_oracle.rs` is the end-to-end half.
 //!
@@ -142,21 +143,34 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Tie-break band of a heap event inserted before the first backlog
+/// event, of a backlog event, and of a heap event inserted after it.
+const EARLY: u8 = 0;
+const SORTED: u8 = 1;
+const LATE: u8 = 2;
+
 /// The linear-scan reference: every event ever inserted, by insertion
-/// number (its tag and sequence number), with its time, whether it is
-/// still pending, and whether it entered through the backlog.
+/// number (its tag), with its time, whether it is still pending, and
+/// its tie-break band. Equal times fire by band, then by insertion.
 #[derive(Default)]
 struct Reference {
     now: f64,
     executed: u64,
-    events: Vec<(f64, bool, bool)>,
+    events: Vec<(f64, bool, u8)>,
     /// Time of the last backlog event, the floor of the next batch.
     backlog_tail: f64,
 }
 
 impl Reference {
     fn insert(&mut self, time: f64, backlog: bool) -> u32 {
-        self.events.push((time, true, backlog));
+        let band = if backlog {
+            SORTED
+        } else if self.events.iter().any(|e| e.2 == SORTED) {
+            LATE
+        } else {
+            EARLY
+        };
+        self.events.push((time, true, band));
         (self.events.len() - 1) as u32
     }
 
@@ -164,10 +178,8 @@ impl Reference {
         let next = (0..self.events.len())
             .filter(|&i| self.events[i].1)
             .min_by(|&a, &b| {
-                self.events[a]
-                    .0
-                    .total_cmp(&self.events[b].0)
-                    .then(a.cmp(&b))
+                let (ea, eb) = (self.events[a], self.events[b]);
+                ea.0.total_cmp(&eb.0).then(ea.2.cmp(&eb.2)).then(a.cmp(&b))
             })?;
         self.events[next].1 = false;
         self.executed += 1;
@@ -182,7 +194,7 @@ impl Reference {
     fn pending(&self, backlog: bool) -> usize {
         self.events
             .iter()
-            .filter(|e| e.1 && (backlog || !e.2))
+            .filter(|e| e.1 && (backlog || e.2 != SORTED))
             .count()
     }
 }

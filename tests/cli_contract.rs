@@ -203,6 +203,8 @@ fn rejected_inputs_exit_two() {
         // Replay flags the chosen workload cannot use.
         "replay --utilization 0.5",
         "replay tests/data/datacenter_small.csv --jobs 5",
+        // A gang the pool can never co-allocate.
+        "gang --gang-size 99 --workstations 8",
     ] {
         assert_usage_error(&dir, line);
     }

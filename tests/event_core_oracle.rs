@@ -15,6 +15,11 @@
 //!   random placement) on a 200-machine pool, recorded before `Pool`
 //!   replaced its machine-ordered candidate slice with a bitset.
 //!
+//! The four `*_streamed` sections were re-recorded when
+//! `Calendar::schedule_sorted` gained its tie band, which made a
+//! streamed run equal its materialized run at exact-time ties; each is
+//! first checked against the materialized run of the same jobs.
+//!
 //! Every section is compared as `Debug` strings, and `f64`'s `Debug`
 //! prints the shortest string that round-trips, so byte equality here
 //! is bit equality of every float in every metric (including each
@@ -244,8 +249,16 @@ fn job_mix(jobs: u32, gap: f64) -> Vec<JobSpec> {
 }
 
 /// Run `cfg` on `jobs` through the streamed feed in chunks of `chunk`,
-/// splicing the retired records back into the metrics.
+/// splicing the retired records back into the metrics, which must
+/// equal the materialized run of the same jobs before the golden bytes
+/// are compared.
 fn streamed(cfg: &SchedConfig, jobs: Vec<JobSpec>, chunk: usize) -> SchedMetrics {
+    let materialized = SchedConfig {
+        jobs: jobs.clone(),
+        ..cfg.clone()
+    }
+    .run()
+    .expect("materialized oracle scenario completes");
     let mut records = Vec::new();
     let (mut metrics, _events) = cfg
         .run_streamed(&mut VecFeed::new(jobs), chunk, &mut |_, record| {
@@ -253,6 +266,10 @@ fn streamed(cfg: &SchedConfig, jobs: Vec<JobSpec>, chunk: usize) -> SchedMetrics
         })
         .expect("streamed oracle scenario completes");
     metrics.jobs = records;
+    assert!(
+        metrics == materialized,
+        "a streamed section diverged from the materialized run of its jobs"
+    );
     metrics
 }
 

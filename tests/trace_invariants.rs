@@ -415,9 +415,7 @@ fn open_stream_trace_accounting() {
     );
 }
 
-/// A sorted open job list lowered to the scheduler engine. Continuous
-/// Poisson arrivals never tie with owner events, so chunk boundaries
-/// cannot reorder an exact-time tie.
+/// A sorted open job list lowered to the scheduler engine.
 fn open_cfg() -> SchedConfig {
     Sim::pool(12)
         .owners(owner(0.10))
@@ -524,6 +522,49 @@ fn streamed_flights_byte_identical_across_shards_and_chunks() {
             assert_eq!(a.to_jsonl(), other.to_jsonl(), "rep {rep}");
             assert_eq!(a.to_chrome_json(), other.to_chrome_json(), "rep {rep}");
             assert_eq!(a.metrics_json(), other.metrics_json(), "rep {rep}");
+        }
+    }
+}
+
+fn gang_stream_sim(policy: GangPolicy, chunk: usize, shards: usize) -> Sim {
+    // Integer arrivals ten apart and a demand of 20: a gang that starts
+    // on arrival ends exactly when a later one arrives.
+    Sim::pool(16)
+        .owners(owner(0.10))
+        .workload(closed(JobSpec::stream(40, 4, 20.0, 10.0)))
+        .gang(policy)
+        .stream_chunk(chunk)
+        .seed(17)
+        .replications(2)
+        .shards(shards)
+        .metrics_every(50.0)
+        .build()
+        .unwrap()
+}
+
+/// Gang runs stream too: their flights at shards(2) are byte-identical
+/// to the materialized flight of the same jobs, exact-time ties
+/// included, at any chunk size.
+#[test]
+fn streamed_gang_flights_byte_identical_to_materialized() {
+    for policy in [
+        GangPolicy::SuspendAll,
+        GangPolicy::Partial { min_running: 2 },
+    ] {
+        let materialized = gang_stream_sim(policy, 0, 2).run_flight().unwrap();
+        assert_eq!(materialized[0].metrics.jobs.len(), 40);
+        for chunk in [1, 7] {
+            let streamed = gang_stream_sim(policy, chunk, 2).run_flight().unwrap();
+            assert_eq!(streamed.len(), 2);
+            for (s, m) in streamed.iter().zip(&materialized) {
+                let case = format!("{} chunk {chunk} rep {}", policy.label(), s.replication);
+                assert!(s.metrics.jobs.is_empty(), "{case}: no job table");
+                assert!(s.metrics.gang.gang_starts >= 40, "{case}");
+                assert_eq!(s.events, m.events, "{case}");
+                assert_eq!(s.to_jsonl(), m.to_jsonl(), "{case}");
+                assert_eq!(s.to_chrome_json(), m.to_chrome_json(), "{case}");
+                assert_eq!(s.metrics_json(), m.metrics_json(), "{case}");
+            }
         }
     }
 }
