@@ -36,6 +36,7 @@
 
 pub mod builder;
 pub mod error;
+mod read_ahead;
 pub mod report;
 pub mod trace;
 pub mod workload;

@@ -23,6 +23,17 @@
 //! bounded memory: the synthetic sampler draws jobs lazily, and the
 //! trace replays its rows chunk by chunk.
 //!
+//! The synthetic feed reads ahead. Its first pull moves the sampler
+//! onto one worker thread, which draws batches of 8,192 jobs into
+//! recycled buffers and stays at most one batch ahead of the engine,
+//! so the event loop stops waiting on the sampler. The engine gets the
+//! same specs in the same chunks as from the sampler itself, every
+//! draw unchanged, and its event loop stays on the calling thread.
+//! Building a feed spawns nothing, but the process is multi-threaded
+//! from the first pull. Dropping the feed joins the worker; a worker
+//! panic is re-raised by the pull that finds it, never read as the end
+//! of the day. The trace's feed (a slice copy) stays synchronous.
+//!
 //! File format (CSV; `#` comments and blank lines are skipped, the
 //! header row is optional):
 //!
@@ -36,6 +47,7 @@
 //! `{"arrival": 3.25, "tasks": 1, "task_demand": 30.0}`.
 
 use crate::sim::error::SimError;
+use crate::sim::read_ahead::ReadAhead;
 use crate::sim::workload::Workload;
 use nds_cluster::owner::OwnerWorkload;
 use nds_sched::feed::JobFeed;
@@ -346,11 +358,25 @@ impl TraceWorkload {
         }
         Ok(())
     }
+
+    /// The one check that can fail after construction: every
+    /// constructor ran [`TraceWorkload::check`] on the private rows,
+    /// and only [`TraceWorkload::warmup`] changes the trace afterwards.
+    fn check_warmup(&self) -> Result<(), SimError> {
+        if self.warmup_jobs() >= self.jobs.len() {
+            return Err(bad_trace(format!(
+                "warm-up {} must leave observed jobs (trace has {})",
+                self.warmup_jobs(),
+                self.jobs.len()
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Workload for TraceWorkload {
     fn generate(&self, _seed: u64, _replication: u64) -> Result<Vec<JobSpec>, SimError> {
-        self.validate()?;
+        self.check_warmup()?;
         Ok(self.jobs.clone()) // ndslint::allow(no-alloc-in-hot-path, reason = "generate materializes the whole trace by contract; the hot path uses feed")
     }
 
@@ -369,18 +395,11 @@ impl Workload for TraceWorkload {
 
     fn validate(&self) -> Result<(), SimError> {
         self.check()?;
-        if self.warmup_jobs() >= self.jobs.len() {
-            return Err(bad_trace(format!(
-                "warm-up {} must leave observed jobs (trace has {})",
-                self.warmup_jobs(),
-                self.jobs.len()
-            )));
-        }
-        Ok(())
+        self.check_warmup()
     }
 
     fn feed(&self, _seed: u64, _replication: u64) -> Result<Box<dyn JobFeed + '_>, SimError> {
-        self.validate()?;
+        self.check_warmup()?;
         Ok(Box::new(nds_sched::feed::SliceFeed::new(&self.jobs))) // ndslint::allow(no-alloc-in-hot-path, reason = "one boxed feed per replication is setup, not steady state")
     }
 }
@@ -636,15 +655,24 @@ impl SyntheticTrace {
     pub fn owners(&self, seed: u64, replication: u64) -> Result<Vec<OwnerWorkload>, SimError> {
         self.validate()?;
         let mut rng = StreamFactory::new(seed).labeled_stream(OWNER_STREAM, replication);
+        // Each class is built once, when a machine first draws it, and
+        // cloned after that; a class no machine draws is never built.
+        let mut classes: [Option<OwnerWorkload>; 2] = [None, None];
         (0..self.machines)
             .map(|_| {
-                let util = if rng.bernoulli(self.hot_fraction) {
-                    self.hot_utilization
+                let (slot, util) = if rng.bernoulli(self.hot_fraction) {
+                    (&mut classes[0], self.hot_utilization)
                 } else {
-                    self.cool_utilization
+                    (&mut classes[1], self.cool_utilization)
                 };
-                OwnerWorkload::continuous_exponential(self.owner_think, util)
-                    .map_err(SimError::Cluster)
+                let owner = match slot {
+                    Some(owner) => owner,
+                    None => slot.insert(
+                        OwnerWorkload::continuous_exponential(self.owner_think, util)
+                            .map_err(SimError::Cluster)?,
+                    ),
+                };
+                Ok(owner.clone()) // ndslint::allow(no-alloc-in-hot-path, reason = "run setup: each machine's owner is a clone of its class")
             })
             .collect()
     }
@@ -675,7 +703,7 @@ impl SyntheticTrace {
 impl Workload for SyntheticTrace {
     fn generate(&self, seed: u64, replication: u64) -> Result<Vec<JobSpec>, SimError> {
         let mut sampler = self.sampler(seed, replication)?;
-        let mut jobs = Vec::with_capacity(self.jobs);
+        let mut jobs = Vec::with_capacity(self.jobs); // ndslint::allow(no-alloc-in-hot-path, reason = "generate materializes the whole day by contract; streamed runs use feed")
         while let Some(spec) = sampler.next_spec() {
             jobs.push(spec);
         }
@@ -755,8 +783,15 @@ impl Workload for SyntheticTrace {
         Ok(())
     }
 
+    /// The day's jobs, drawn one batch ahead of the engine on a worker
+    /// thread: the same specs in the same chunks as
+    /// [`Workload::generate`], every draw unchanged. The worker starts
+    /// at the first pull, so the process is multi-threaded from then
+    /// on. Dropping the feed joins the worker, and a worker panic is
+    /// re-raised by the pull that finds it.
     fn feed(&self, seed: u64, replication: u64) -> Result<Box<dyn JobFeed + '_>, SimError> {
-        Ok(Box::new(self.sampler(seed, replication)?)) // ndslint::allow(no-alloc-in-hot-path, reason = "one boxed sampler per replication is setup, not steady state")
+        let sampler = self.sampler(seed, replication)?;
+        Ok(Box::new(ReadAhead::new(sampler))) // ndslint::allow(no-alloc-in-hot-path, reason = "one boxed feed per replication is setup, not steady state")
     }
 }
 
@@ -1034,6 +1069,112 @@ arrival,tasks,task_demand,owner_class
             (40..=160).contains(&hot),
             "hot count {hot} far from 25% of 400"
         );
+    }
+
+    /// The owner population built one `continuous_exponential` per
+    /// machine, as before classes were shared.
+    fn owners_one_by_one(
+        gen: &SyntheticTrace,
+        seed: u64,
+        replication: u64,
+    ) -> Result<Vec<OwnerWorkload>, SimError> {
+        let mut rng = StreamFactory::new(seed).labeled_stream(OWNER_STREAM, replication);
+        (0..gen.machines)
+            .map(|_| {
+                let util = if rng.bernoulli(gen.hot_fraction) {
+                    gen.hot_utilization
+                } else {
+                    gen.cool_utilization
+                };
+                OwnerWorkload::continuous_exponential(gen.owner_think, util)
+                    .map_err(SimError::Cluster)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_owner_classes_match_per_machine_construction() {
+        for machines in [1, 64, 1_000] {
+            let gen = SyntheticTrace::datacenter(machines, 100);
+            for seed in 1..=10 {
+                let got = gen.owners(seed, 0).unwrap();
+                let want = owners_one_by_one(&gen, seed, 0).unwrap();
+                assert_eq!(got.len(), want.len());
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    let at = format!("W {machines}, seed {seed}, machine {i}");
+                    assert_eq!(a.label(), b.label(), "{at}");
+                    assert_eq!(a.mean_think().to_bits(), b.mean_think().to_bits(), "{at}");
+                    assert_eq!(
+                        a.mean_service().to_bits(),
+                        b.mean_service().to_bits(),
+                        "{at}"
+                    );
+                    let mut ra = Xoshiro256StarStar::new(seed << 20 | i as u64);
+                    let mut rb = ra.clone();
+                    for _ in 0..100 {
+                        assert_eq!(
+                            a.sample_think(&mut ra).to_bits(),
+                            b.sample_think(&mut rb).to_bits(),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            a.sample_service(&mut ra).to_bits(),
+                            b.sample_service(&mut rb).to_bits(),
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unbuildable_owner_class_fails_only_when_drawn() {
+        // Utilization 0 passes `validate` but not `continuous_exponential`.
+        let mixes = [
+            (1.0, 0.3, 0.0),
+            (0.0, 0.0, 0.05),
+            (0.5, 0.3, 0.0),
+            (1.0, 0.0, 0.05),
+        ];
+        for (fraction, hot, cool) in mixes {
+            for machines in [1, 64] {
+                let gen = SyntheticTrace::datacenter(machines, 100).owner_mix(fraction, hot, cool);
+                gen.validate().unwrap();
+                for seed in 1..=10 {
+                    let mut rng = StreamFactory::new(seed).labeled_stream(OWNER_STREAM, 0);
+                    let drawn = (0..machines).any(|_| {
+                        let util = if rng.bernoulli(fraction) { hot } else { cool };
+                        util == 0.0
+                    });
+                    let got = gen.owners(seed, 0);
+                    assert_eq!(
+                        got.is_err(),
+                        drawn,
+                        "mix {fraction}/{hot}/{cool}, seed {seed}"
+                    );
+                    assert_eq!(
+                        got.map(|o| o.len()),
+                        owners_one_by_one(&gen, seed, 0).map(|o| o.len())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trace_warmup_is_checked_on_every_replication() {
+        let t = TraceWorkload::from_csv_str(CSV).unwrap().warmup(4);
+        let want = t.validate().unwrap_err();
+        assert!(matches!(
+            want,
+            SimError::InvalidWorkload { field: "trace", .. }
+        ));
+        assert_eq!(t.generate(0, 0).unwrap_err(), want);
+        assert_eq!(t.feed(0, 0).err(), Some(want));
+        let t = t.warmup(3);
+        assert_eq!(t.generate(0, 0).unwrap(), t.jobs());
+        assert!(t.feed(0, 0).is_ok());
     }
 
     #[test]

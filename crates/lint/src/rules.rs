@@ -5,7 +5,7 @@
 //! | `no-unordered-collections` | `HashMap`/`HashSet` banned in sim-visible crates |
 //! | `total-order-floats` | `.partial_cmp(...)` calls must be `total_cmp` |
 //! | `no-wall-clock` | `Instant`/`SystemTime` forbidden outside the profiler |
-//! | `no-alloc-in-hot-path` | `Vec::new`/`Box::new`/`.clone()`/`.to_vec()` in hot modules |
+//! | `no-alloc-in-hot-path` | `Vec::new`/`Vec::with_capacity`/`vec![]`/`Box::new`/`.clone()`/`.to_vec()` in hot modules |
 //! | `no-unwrap-in-lib` | `.unwrap()` (and terse `.expect("..")`) in library code |
 //! | `event-coverage` | `SchedEvent` ↔ `EventClass` ↔ `SchedRecord` ↔ `RecordFilter::KINDS` consistency |
 //!
@@ -39,11 +39,13 @@ pub const HOT_FILES: [&str; 3] = ["calendar.rs", "simulator.rs", "pool.rs"];
 /// Hot modules named by path suffix — base names that would collide
 /// with cold modules elsewhere (the flight recorder and the des crate
 /// both have a `trace.rs`). `core/src/sim/trace.rs` hosts the
-/// synthetic-trace sampler and `sched/src/feed.rs` the chunked job
-/// feed, both on the streamed-replay refill path; the three cluster
-/// modules are the continuous-time, multi-job and SMP event loops.
-pub const HOT_PATH_SUFFIXES: [&str; 5] = [
+/// synthetic-trace sampler, `core/src/sim/read_ahead.rs` its batch
+/// read-ahead and `sched/src/feed.rs` the chunked job feed, all on the
+/// streamed-replay refill path; the three cluster modules are the
+/// continuous-time, multi-job and SMP event loops.
+pub const HOT_PATH_SUFFIXES: [&str; 6] = [
     "core/src/sim/trace.rs",
+    "core/src/sim/read_ahead.rs",
     "sched/src/feed.rs",
     "cluster/src/continuous.rs",
     "cluster/src/multi.rs",
@@ -339,20 +341,36 @@ fn no_alloc_in_hot_path(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
 
-        // Path calls: Vec::new / Box::new.
-        if (t.is_ident("Vec") || t.is_ident("Box"))
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
+        // Constructor calls: Vec::new / Vec::with_capacity / Box::new,
+        // and the vec![..] macro.
+        let path = |ty: &str, ctor: &str| {
+            t.is_ident(ty)
+                && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+                && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+                && toks.get(i + 3).is_some_and(|t| t.is_ident(ctor))
+        };
+        let call = if path("Vec", "new") {
+            Some("Vec::new")
+        } else if path("Vec", "with_capacity") {
+            Some("Vec::with_capacity")
+        } else if path("Box", "new") {
+            Some("Box::new")
+        } else if t.is_ident("vec")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct('['))
         {
+            Some("vec![]")
+        } else {
+            None
+        };
+        if let Some(call) = call {
             out.push(ctx.diag(
                 t,
                 "no-alloc-in-hot-path",
                 format!(
-                    "`{}::new` allocates inside hot function `{fn_name}` (hot modules \
+                    "`{call}` allocates inside hot function `{fn_name}` (hot modules \
                      must stay allocation-free in steady state; preallocate in a \
-                     constructor or reuse a buffer)",
-                    t.text
+                     constructor or reuse a buffer)"
                 ),
             ));
         }

@@ -26,6 +26,8 @@ impl Pool {
         let snapshot = self.slots.clone();
         let boxed = Box::new(id);
         scratch.push(*boxed);
+        let mut sized = Vec::with_capacity(4);
+        sized.extend(vec![id; 2]);
         snapshot
     }
 

@@ -24,12 +24,14 @@
 //!   feed (the engine reports a typed error otherwise, never panics).
 //! * `next_chunk` may return fewer than `max` jobs; returning `0` means
 //!   the feed is exhausted and will not be polled again.
-//! * Exact-time ties: jobs tied with *owner* events at the identical
-//!   float instant can order differently than the materialized path if
-//!   the tie crosses a chunk boundary (later chunks draw later calendar
-//!   sequence numbers). Continuous random arrival processes hit this
-//!   with probability zero; integer-timed fixtures should avoid
-//!   colliding arrivals across chunks.
+//! * Exact-time ties do not depend on the chunk size. Arrivals enter
+//!   the calendar's sorted band ([`nds_des::Calendar::schedule_sorted`]):
+//!   at equal times, events scheduled before the first arrival fire
+//!   first, then the arrivals in submission order, then events
+//!   scheduled after the first arrival. A chunk handed over as the
+//!   previous chunk's last arrival fires therefore orders exactly as
+//!   the one-chunk materialized run does, integer-timed traces
+//!   included.
 
 use crate::error::SchedError;
 use crate::queue::JobSpec;

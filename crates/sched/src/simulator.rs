@@ -49,6 +49,8 @@
 //!   [`nds_des::EventHandle`] — no hash probes;
 //! * [`Pool::candidates`] is a slice view of an incrementally
 //!   maintained index — no per-dispatch `Vec`;
+//! * a gang admission takes over the member lists a completed or
+//!   migrated gang released — no per-admission `Vec`;
 //! * the partial-gang grower search and the co-scheduling invariant
 //!   check are incremental (a sorted under-placed-gang set, and a
 //!   touched-gang check backed by a full-scan `debug_assert!`),
@@ -280,7 +282,7 @@ impl SchedConfig {
         replication: u64,
         tracer: &mut T,
     ) -> Result<(SchedMetrics, u64), SchedError> {
-        let mut records = Vec::with_capacity(self.jobs.len());
+        let mut records = Vec::with_capacity(self.jobs.len()); // ndslint::allow(no-alloc-in-hot-path, reason = "a materialized run returns every record; sized once per run")
         let (mut metrics, events) = self.run_feed(
             replication,
             &mut SliceFeed::new(&self.jobs),
@@ -411,7 +413,8 @@ impl SchedConfig {
             eviction: self.eviction,
             gang_policy: self.gang,
             gang_queue: GangQueue::new(),
-            machine_gang: vec![None; w],
+            machine_gang: vec![None; w], // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
+            spare_members: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
             growers: BTreeSet::new(),
             gacc: GangStats::default(),
             frag_t: 0.0,
@@ -421,7 +424,7 @@ impl SchedConfig {
             acc: Acc::default(),
             failures: self.failures,
             failure_rngs: failure_streams(&factory, self.failures.is_some(), w, replication),
-            crashes_by_machine: vec![0; if self.failures.is_some() { w } else { 0 }],
+            crashes_by_machine: vec![0; if self.failures.is_some() { w } else { 0 }], // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
             makespan: 0.0,
             done: false,
         };
@@ -948,6 +951,9 @@ struct GangState {
     phase: GangPhase,
 }
 
+/// A gang's `members`, `member_running` and `member_busy`.
+type MemberLists = (Vec<usize>, Vec<bool>, Vec<bool>);
+
 impl GangState {
     /// A queued gang for `spec` under `policy`.
     fn of_spec(spec: &JobSpec, policy: GangPolicy) -> Self {
@@ -1057,6 +1063,11 @@ struct Sim<'a> {
     gang_queue: GangQueue,
     /// Which gang (job index) occupies each machine, if any.
     machine_gang: Vec<Option<usize>>,
+    /// Cleared member lists of released gangs (completed or migrated),
+    /// which the next admission takes over: admissions allocate nothing
+    /// once as many lists as gangs ever held machines at once have
+    /// grown to the widest gang.
+    spare_members: Vec<MemberLists>,
     /// Placed-but-under-width gangs (phase `Running`/`Suspended`,
     /// `members.len() < width`), kept sorted so the partial-gang grower
     /// finds the lowest job index in O(log n) instead of scanning every
@@ -1817,9 +1828,6 @@ fn gang_crash<T: SchedTracer>(
                     let gang = sim.jobs.gang_mut(j);
                     gang.phase = GangPhase::Queued;
                     gang.setup_left = overhead;
-                    gang.member_running.clear();
-                    gang.member_busy.clear();
-                    let members = std::mem::take(&mut gang.members);
                     let pending = PendingGang {
                         job: j,
                         tasks: gang.width,
@@ -1829,10 +1837,7 @@ fn gang_crash<T: SchedTracer>(
                         setup: overhead,
                         enqueued_at: now,
                     };
-                    for &mm in &members {
-                        sim.pool.set_occupied(now, mm, false);
-                        sim.machine_gang[mm] = None;
-                    }
+                    release_members(sim, now, j);
                     sim.gang_queue.push(pending);
                     refresh_grower(sim, j);
                     if T::ENABLED {
@@ -2114,9 +2119,6 @@ fn gang_owner_reclaim<T: SchedTracer>(
                     let gang = sim.jobs.gang_mut(j);
                     gang.phase = GangPhase::Queued;
                     gang.setup_left = overhead;
-                    gang.member_running.clear();
-                    gang.member_busy.clear();
-                    let members = std::mem::take(&mut gang.members);
                     let pending = PendingGang {
                         job: j,
                         tasks: gang.width,
@@ -2126,10 +2128,7 @@ fn gang_owner_reclaim<T: SchedTracer>(
                         setup: overhead,
                         enqueued_at: now,
                     };
-                    for &mm in &members {
-                        sim.pool.set_occupied(now, mm, false);
-                        sim.machine_gang[mm] = None;
-                    }
+                    release_members(sim, now, j);
                     sim.gang_queue.push(pending);
                     refresh_grower(sim, j);
                     if T::ENABLED {
@@ -2318,13 +2317,26 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             };
             let j = pending.job;
             let n = (pending.tasks as usize).min(free);
-            let mut members = Vec::with_capacity(n);
+            let gang = sim.jobs.gang_mut(j);
+            debug_assert!(
+                gang.members.capacity() == 0,
+                "a queued gang holds no member lists"
+            );
+            (gang.members, gang.member_running, gang.member_busy) =
+                sim.spare_members.pop().unwrap_or_default();
+            // Room for the full width, which a partial gang grows into.
+            let width = gang.width as usize;
+            gang.members.reserve(width);
+            gang.member_running.reserve(width);
+            gang.member_busy.reserve(width);
             for _ in 0..n {
                 let m = sim.placement.choose(&mut sim.pool, &mut sim.placement_rng);
                 sim.pool.set_occupied(now, m, true);
                 sim.machine_gang[m] = Some(j);
-                members.push(m);
+                gang.members.push(m);
             }
+            gang.member_running.resize(n, false);
+            gang.member_busy.resize(n, false);
             sim.acc.placements += n as u64;
             sim.acc.total_wait += n as f64 * (now - pending.enqueued_at);
             sim.gacc.gang_starts += 1;
@@ -2341,7 +2353,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                 // Mirror the accounting: every admitted member waited.
                 #[allow(clippy::cast_possible_truncation)]
                 tracer.observe_n(now, ObsKind::QueueWait, now - pending.enqueued_at, n as u32);
-                for (idx, &mm) in members.iter().enumerate() {
+                for (idx, &mm) in sim.jobs.gang(j).members.iter().enumerate() {
                     tracer.record(
                         now,
                         SchedRecord::TaskPlaced {
@@ -2352,11 +2364,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                     );
                 }
             }
-            let gang = sim.jobs.gang_mut(j);
-            gang.member_running = vec![false; n];
-            gang.member_busy = vec![false; n];
-            gang.members = members;
-            if (n as u32) < gang.width {
+            if n < width {
                 sim.growers.insert(j);
             }
             frag_update(sim, now);
@@ -2431,6 +2439,25 @@ fn start_gang_segment<T: SchedTracer>(
     verify_gang_invariants(sim, j);
 }
 
+/// Free every machine gang `j` holds and hand its cleared member
+/// lists, capacity kept, to the next admission.
+fn release_members(sim: &mut Sim, now: f64, j: usize) {
+    let gang = sim.jobs.gang_mut(j);
+    for &m in &gang.members {
+        sim.pool.set_occupied(now, m, false);
+        sim.machine_gang[m] = None;
+    }
+    let mut lists = (
+        std::mem::take(&mut gang.members),
+        std::mem::take(&mut gang.member_running),
+        std::mem::take(&mut gang.member_busy),
+    );
+    lists.0.clear();
+    lists.1.clear();
+    lists.2.clear();
+    sim.spare_members.push(lists);
+}
+
 /// A gang segment ran to completion undisturbed.
 fn gang_segment_end<T: SchedTracer>(
     sim: &mut Sim,
@@ -2495,15 +2522,9 @@ fn gang_segment_end<T: SchedTracer>(
     let gang = sim.jobs.gang_mut(j);
     suspend_gang_members(gang);
     gang.phase = GangPhase::Done;
-    gang.member_running.clear();
-    gang.member_busy.clear();
     let demand = gang.demand;
     let width = gang.width;
-    let members = std::mem::take(&mut gang.members);
-    for &m in &members {
-        sim.pool.set_occupied(now, m, false);
-        sim.machine_gang[m] = None;
-    }
+    release_members(sim, now, j);
     sim.growers.remove(&j);
     // The job completes all `width` tasks' worth of work even if a
     // partial gang never placed its full width (the shared clock
