@@ -35,9 +35,7 @@
 use nds_cluster::owner::OwnerWorkload;
 use nds_core::scenario::Scenario;
 use nds_core::sim::{SimError, SyntheticTrace, TraceWorkload, Workload};
-use nds_sched::{
-    EvictionPolicy, GangPolicy, PlacementKind, QueueDiscipline, SchedConfig, SchedMetrics,
-};
+use nds_sched::{SchedConfig, SchedMetrics};
 use std::time::Instant;
 
 const SEED: u64 = 0x7ACE;
@@ -58,18 +56,10 @@ struct Measurement {
 fn config(owners: Vec<OwnerWorkload>, replication: u64) -> SchedConfig {
     SchedConfig {
         owners,
-        jobs: Vec::new(),
-        placement: PlacementKind::LeastLoaded,
-        eviction: EvictionPolicy::SuspendResume,
-        gang: GangPolicy::Off,
-        failures: None,
-        discipline: QueueDiscipline::Fcfs,
-        admission_threshold: 1.0,
-        estimator_tau: 1_000.0,
-        calibration_horizon: 0.0,
         seed: SEED,
         replication,
         max_events: 2_000_000_000,
+        ..SchedConfig::default()
     }
 }
 

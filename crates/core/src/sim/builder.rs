@@ -20,6 +20,12 @@
 //!
 //! # Lowering
 //!
+//! The builder holds the engine's knobs as one [`SchedConfig`], so
+//! their defaults ([`SchedConfig::default`]) and range checks
+//! ([`SchedConfig::validate`]) are the engine's own; beside it sit the
+//! builder's run options (replications, shards, steady-state interval,
+//! heartbeat, flight recorder, streaming).
+//!
 //! `run()` lowers every description to the scheduler engine
 //! ([`nds_sched`]) through [`Sim::lower`]: closed and open workloads,
 //! every eviction/placement/gang policy, admission thresholds and
@@ -37,7 +43,7 @@ use crate::sweep::parallel_map;
 use nds_cluster::owner::OwnerWorkload;
 use nds_sched::{
     EvictionPolicy, FailureModel, FlightRecorder, GangPolicy, JobRecord, JobSpec, NoTrace,
-    PlacementKind, ProgressMeter, QueueDiscipline, RecordFilter, SchedConfig, SchedMetrics,
+    PlacementKind, ProgressMeter, QueueDiscipline, SchedConfig, SchedError, SchedMetrics,
     SchedTracer, Tee,
 };
 use nds_stats::batch_means::{PAPER_BATCHES, PAPER_CONFIDENCE};
@@ -80,19 +86,19 @@ impl From<&[OwnerWorkload]> for OwnerSpec {
 /// A validated, runnable experiment. Build one with [`Sim::pool`].
 #[derive(Debug)]
 pub struct Sim {
-    workstations: u32,
-    owners: Vec<OwnerWorkload>,
-    placement: PlacementKind,
-    eviction: EvictionPolicy,
-    gang: GangPolicy,
-    failures: Option<FailureModel>,
-    discipline: QueueDiscipline,
-    admission_threshold: f64,
-    estimator_tau: f64,
-    calibration_horizon: f64,
-    seed: u64,
+    /// The engine's knobs with one owner workload per machine and no
+    /// jobs; [`Sim::lower`] adds a replication's jobs.
+    config: SchedConfig,
+    run: RunOptions,
+    workload: Box<dyn Workload>,
+}
+
+/// The builder's own knobs, which the engine never reads: how many
+/// replications run and on how many threads, how the steady-state
+/// interval is formed, and how each run is streamed and observed.
+#[derive(Debug)]
+struct RunOptions {
     replications: u64,
-    max_events: u64,
     confidence: f64,
     batches: usize,
     shards: usize,
@@ -100,9 +106,7 @@ pub struct Sim {
     progress_every: Option<f64>,
     trace_cheap: bool,
     trace_capacity: usize,
-    trace_filter: Option<RecordFilter>,
     stream_chunk: usize,
-    workload: Box<dyn Workload>,
 }
 
 /// One traced replication: the run's metrics plus its flight-recorder
@@ -148,47 +152,40 @@ impl Sim {
         SimBuilder {
             workstations,
             owners: None,
-            placement: PlacementKind::LeastLoaded,
-            eviction: EvictionPolicy::SuspendResume,
-            gang: GangPolicy::Off,
-            failures: None,
-            discipline: QueueDiscipline::Fcfs,
-            admission_threshold: 1.0,
-            estimator_tau: 1_000.0,
-            calibration_horizon: 0.0,
-            seed: 0x5EED,
-            replications: 1,
-            max_events: 20_000_000,
-            confidence: PAPER_CONFIDENCE,
-            batches: PAPER_BATCHES,
-            shards: 1,
-            metrics_every: 100.0,
-            progress_every: None,
-            trace_cheap: false,
-            trace_capacity: 0,
-            trace_filter: None,
-            stream_chunk: 0,
+            config: SchedConfig::default(),
+            run: RunOptions {
+                replications: 1,
+                confidence: PAPER_CONFIDENCE,
+                batches: PAPER_BATCHES,
+                shards: 1,
+                metrics_every: 100.0,
+                progress_every: None,
+                trace_cheap: false,
+                trace_capacity: 0,
+                stream_chunk: 0,
+            },
             workload: None,
         }
     }
 
     /// Human-readable experiment description.
     pub fn label(&self) -> String {
-        let gang = if self.gang.is_on() {
-            format!(", gang {}", self.gang.label())
+        let cfg = &self.config;
+        let gang = if cfg.gang.is_on() {
+            format!(", gang {}", cfg.gang.label())
         } else {
             String::new()
         };
-        let faults = match &self.failures {
+        let faults = match &cfg.failures {
             Some(model) => format!(", {}", model.label()),
             None => String::new(),
         };
         format!(
             "W={} pool, {} placement, {} eviction{gang}{faults}, {} queue, {}",
-            self.workstations,
-            self.placement.name(),
-            self.eviction.label(),
-            self.discipline.name(),
+            cfg.owners.len(),
+            cfg.placement.name(),
+            cfg.eviction.label(),
+            cfg.discipline.name(),
             self.workload.label()
         )
     }
@@ -203,73 +200,64 @@ impl Sim {
     /// raw [`SchedConfig`] (the invariant tests compare it against the
     /// builder's own runs).
     pub fn lower(&self, replication: u64) -> Result<SchedConfig, SimError> {
-        let jobs = self.workload.generate(self.seed, replication)?;
-        Ok(self.lower_with_jobs(jobs, replication))
-    }
-
-    fn lower_with_jobs(&self, jobs: Vec<JobSpec>, replication: u64) -> SchedConfig {
-        SchedConfig {
-            owners: self.owners.clone(),
-            jobs,
-            placement: self.placement,
-            eviction: self.eviction,
-            gang: self.gang,
-            failures: self.failures,
-            discipline: self.discipline,
-            admission_threshold: self.admission_threshold,
-            estimator_tau: self.estimator_tau,
-            calibration_horizon: self.calibration_horizon,
-            seed: self.seed,
+        Ok(SchedConfig {
+            jobs: self.workload.generate(self.config.seed, replication)?,
             replication,
-            max_events: self.max_events,
-        }
+            ..self.config.clone()
+        })
     }
 
-    /// Execute one replication on the scheduler engine. Returns the
-    /// run's metrics plus, for streamed runs only, the post-warmup response times collected at the sink (the
-    /// streamed engine does not materialize `metrics.jobs`).
-    fn run_one(&self, replication: u64) -> Result<(SchedMetrics, Option<Vec<f64>>), SimError> {
-        let cfg = if self.stream_chunk > 0 {
-            self.lower_with_jobs(Vec::new(), replication)
+    /// Execute one replication on the scheduler engine under `tracer`,
+    /// with the progress heartbeat teed in when
+    /// [`SimBuilder::progress`] is set, and hand the tracer back. A
+    /// materialized run executes the [`Sim::lower`]ed job list and
+    /// returns its records in `metrics.jobs`. With
+    /// [`SimBuilder::stream_chunk`] set, the workload's feed is pulled
+    /// in `stream_chunk`-sized batches and each completed job's record
+    /// goes to `on_job` instead, so peak memory is O(chunk + pool),
+    /// independent of the job count.
+    fn run_rep<T: SchedTracer>(
+        &self,
+        replication: u64,
+        on_job: &mut dyn FnMut(usize, JobRecord),
+        tracer: T,
+    ) -> Result<(SchedMetrics, u64, T), SimError> {
+        let cfg = if self.run.stream_chunk > 0 {
+            SchedConfig {
+                replication,
+                ..self.config.clone()
+            }
         } else {
             self.lower(replication)?
         };
-        let warmup = self.workload.warmup_jobs();
-        let mut responses = Vec::new();
-        let mut sink = |job: usize, record: JobRecord| {
-            if job >= warmup {
-                responses.push(record.response_time());
-            }
+        let Some(every) = self.run.progress_every else {
+            return self.run_engine(&cfg, on_job, tracer);
         };
-        let (metrics, _events) = match self.progress_every {
-            // The meter is ENABLED, so the engine takes the traced path —
-            // metrics stay bit-identical to the untraced run (pinned by
-            // the trace invariants).
-            Some(every) => {
-                let mut meter = self.meter(every, replication, &cfg.jobs);
-                self.run_engine(&cfg, &mut sink, &mut meter)?
-            }
-            None => self.run_engine(&cfg, &mut sink, &mut NoTrace)?,
-        };
-        Ok((metrics, (self.stream_chunk > 0).then_some(responses)))
+        // The meter is ENABLED, so the engine takes the traced path —
+        // metrics stay bit-identical to the untraced run (pinned by
+        // the trace invariants).
+        let meter = self.meter(every, replication, &cfg.jobs);
+        let (metrics, events, Tee(tracer, _)) =
+            self.run_engine(&cfg, on_job, Tee(tracer, meter))?;
+        Ok((metrics, events, tracer))
     }
 
-    /// Run `cfg` on the scheduler engine under `tracer`. With
-    /// [`SimBuilder::stream_chunk`] set, the workload's feed is pulled
-    /// in `stream_chunk`-sized batches and each completed job's record
-    /// goes to `on_job` instead of `metrics.jobs`, so peak memory is
-    /// O(chunk + pool), independent of the job count.
+    /// Run `cfg` under `tracer`: its job list, or the workload's feed
+    /// when the run streams.
     fn run_engine<T: SchedTracer>(
         &self,
         cfg: &SchedConfig,
         on_job: &mut dyn FnMut(usize, JobRecord),
-        tracer: &mut T,
-    ) -> Result<(SchedMetrics, u64), SimError> {
-        if self.stream_chunk == 0 {
-            return Ok(cfg.run_traced(tracer)?);
-        }
-        let mut feed = self.workload.feed(self.seed, cfg.replication)?;
-        Ok(cfg.run_streamed_traced(feed.as_mut(), self.stream_chunk, on_job, tracer)?)
+        mut tracer: T,
+    ) -> Result<(SchedMetrics, u64, T), SimError> {
+        let (metrics, events) = match self.run.stream_chunk {
+            0 => cfg.run_traced(&mut tracer)?,
+            chunk => {
+                let mut feed = self.workload.feed(cfg.seed, cfg.replication)?;
+                cfg.run_streamed_traced(feed.as_mut(), chunk, on_job, &mut tracer)?
+            }
+        };
+        Ok((metrics, events, tracer))
     }
 
     /// A progress heartbeat for one replication, with the workload's
@@ -293,28 +281,39 @@ impl Sim {
     /// byte-identical to the serial path (the engine itself stays
     /// single-threaded).
     pub fn run(&self) -> Result<Report, SimError> {
-        let reps: Vec<u64> = (0..self.replications).collect();
-        type RepResult = Result<(SchedMetrics, Option<Vec<f64>>), SimError>;
-        let results: Vec<RepResult> = if self.shards > 1 {
-            parallel_map(&reps, self.shards, |&replication| self.run_one(replication))
-        } else {
-            reps.iter().map(|&r| self.run_one(r)).collect()
-        };
-        let mut runs = Vec::with_capacity(self.replications as usize);
-        let mut per_rep: Vec<Vec<f64>> = Vec::with_capacity(self.replications as usize);
+        let reps: Vec<u64> = (0..self.run.replications).collect();
         let warmup = self.workload.warmup_jobs();
+        let results = parallel_map(
+            &reps,
+            self.run.shards,
+            |&replication| -> Result<(SchedMetrics, Vec<f64>), SimError> {
+                // A streamed run keeps no records: it collects the
+                // post-warmup response times at the sink.
+                let mut streamed = Vec::new();
+                let mut sink = |job: usize, record: JobRecord| {
+                    if job >= warmup {
+                        streamed.push(record.response_time());
+                    }
+                };
+                let (metrics, _events, _) = self.run_rep(replication, &mut sink, NoTrace)?;
+                let responses = if self.run.stream_chunk > 0 {
+                    streamed
+                } else {
+                    metrics
+                        .jobs
+                        .iter()
+                        .skip(warmup)
+                        .map(JobRecord::response_time)
+                        .collect()
+                };
+                Ok((metrics, responses))
+            },
+        );
+        let mut runs = Vec::with_capacity(reps.len());
+        let mut per_rep: Vec<Vec<f64>> = Vec::with_capacity(reps.len());
         for result in results {
-            let (metrics, streamed) = result?;
-            per_rep.push(match streamed {
-                // Streamed runs already dropped warmup at the sink.
-                Some(responses) => responses,
-                None => metrics
-                    .jobs
-                    .iter()
-                    .skip(warmup)
-                    .map(JobRecord::response_time)
-                    .collect(),
-            });
+            let (metrics, responses) = result?;
+            per_rep.push(responses);
             runs.push(metrics);
         }
         // Batch means are formed within each replication (no batch ever
@@ -323,8 +322,8 @@ impl Sim {
         let steady_state = if self.workload.is_open() {
             Some(SteadyState::from_replications(
                 &per_rep,
-                self.batches,
-                self.confidence,
+                self.run.batches,
+                self.run.confidence,
                 warmup,
             )?)
         } else {
@@ -333,7 +332,7 @@ impl Sim {
         let responses: Vec<f64> = per_rep.into_iter().flatten().collect();
         Ok(Report {
             label: self.label(),
-            workstations: self.workstations,
+            workstations: self.config.owners.len() as u32,
             response: ResponseStats::from_responses(&responses),
             runs,
             steady_state,
@@ -353,34 +352,19 @@ impl Sim {
     /// one; the recorder only ever observes simulation state, so the
     /// traces are byte-identical to the serial path's.
     pub fn run_flight(&self) -> Result<Vec<Flight>, SimError> {
-        let trace_one = |&replication: &u64| -> Result<Flight, SimError> {
-            // Streamed runs pull the workload's feed, not `cfg.jobs`.
-            let cfg = if self.stream_chunk > 0 {
-                self.lower_with_jobs(Vec::new(), replication)
+        let reps: Vec<u64> = (0..self.run.replications).collect();
+        let (machines, every) = (self.config.owners.len(), self.run.metrics_every);
+        parallel_map(&reps, self.run.shards, |&replication| {
+            let mut recorder = if self.run.trace_cheap {
+                FlightRecorder::cheap(machines, every)
             } else {
-                self.lower(replication)?
+                FlightRecorder::new(machines, every)
             };
-            let machines = self.workstations as usize;
-            let mut recorder = if self.trace_cheap {
-                FlightRecorder::cheap(machines, self.metrics_every)
-            } else {
-                FlightRecorder::new(machines, self.metrics_every)
-            };
-            if let Some(filter) = &self.trace_filter {
-                recorder = recorder.with_filter(filter.clone());
+            if self.run.trace_capacity > 0 {
+                recorder = recorder.with_capacity(self.run.trace_capacity);
             }
-            if self.trace_capacity > 0 {
-                recorder = recorder.with_capacity(self.trace_capacity);
-            }
-            let (metrics, events) = if let Some(every) = self.progress_every {
-                let meter = self.meter(every, replication, &cfg.jobs);
-                let mut tee = Tee(recorder, meter);
-                let out = self.run_engine(&cfg, &mut |_, _| {}, &mut tee)?;
-                recorder = tee.0;
-                out
-            } else {
-                self.run_engine(&cfg, &mut |_, _| {}, &mut recorder)?
-            };
+            let (metrics, events, mut recorder) =
+                self.run_rep(replication, &mut |_, _| {}, recorder)?;
             recorder.finish(metrics.makespan);
             Ok(Flight {
                 replication,
@@ -388,14 +372,9 @@ impl Sim {
                 events,
                 recorder,
             })
-        };
-        let reps: Vec<u64> = (0..self.replications).collect();
-        let results: Vec<Result<Flight, SimError>> = if self.shards > 1 {
-            parallel_map(&reps, self.shards, trace_one)
-        } else {
-            reps.iter().map(trace_one).collect()
-        };
-        results.into_iter().collect()
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -406,26 +385,10 @@ impl Sim {
 pub struct SimBuilder {
     workstations: u32,
     owners: Option<OwnerSpec>,
-    placement: PlacementKind,
-    eviction: EvictionPolicy,
-    gang: GangPolicy,
-    failures: Option<FailureModel>,
-    discipline: QueueDiscipline,
-    admission_threshold: f64,
-    estimator_tau: f64,
-    calibration_horizon: f64,
-    seed: u64,
-    replications: u64,
-    max_events: u64,
-    confidence: f64,
-    batches: usize,
-    shards: usize,
-    metrics_every: f64,
-    progress_every: Option<f64>,
-    trace_cheap: bool,
-    trace_capacity: usize,
-    trace_filter: Option<RecordFilter>,
-    stream_chunk: usize,
+    /// Every engine knob but the owner table, which `build()` expands
+    /// from `owners`.
+    config: SchedConfig,
+    run: RunOptions,
     workload: Option<Box<dyn Workload>>,
 }
 
@@ -441,7 +404,7 @@ impl SimBuilder {
     /// Task placement policy (default: least-loaded).
     #[must_use]
     pub fn placement(mut self, placement: PlacementKind) -> Self {
-        self.placement = placement;
+        self.config.placement = placement;
         self
     }
 
@@ -449,7 +412,7 @@ impl SimBuilder {
     /// model).
     #[must_use]
     pub fn eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = eviction;
+        self.config.eviction = eviction;
         self
     }
 
@@ -466,7 +429,7 @@ impl SimBuilder {
     /// tests). Composes with both closed and open workloads.
     #[must_use]
     pub fn gang(mut self, gang: GangPolicy) -> Self {
-        self.gang = gang;
+        self.config.gang = gang;
         self
     }
 
@@ -483,14 +446,14 @@ impl SimBuilder {
     /// the machine from the candidate pool until repair.
     #[must_use]
     pub fn failures(mut self, model: FailureModel) -> Self {
-        self.failures = Some(model);
+        self.config.failures = Some(model);
         self
     }
 
     /// Central-queue discipline (default: FCFS).
     #[must_use]
     pub fn discipline(mut self, discipline: QueueDiscipline) -> Self {
-        self.discipline = discipline;
+        self.config.discipline = discipline;
         self
     }
 
@@ -499,42 +462,42 @@ impl SimBuilder {
     /// machine).
     #[must_use]
     pub fn admission_threshold(mut self, threshold: f64) -> Self {
-        self.admission_threshold = threshold;
+        self.config.admission_threshold = threshold;
         self
     }
 
     /// Averaging window of the per-machine utilization estimators.
     #[must_use]
     pub fn estimator_tau(mut self, tau: f64) -> Self {
-        self.estimator_tau = tau;
+        self.config.estimator_tau = tau;
         self
     }
 
     /// Pre-run probe horizon seeding the load estimators (0 disables).
     #[must_use]
     pub fn calibration(mut self, horizon: f64) -> Self {
-        self.calibration_horizon = horizon;
+        self.config.calibration_horizon = horizon;
         self
     }
 
     /// Master seed for every stream in the run.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Independent replications to run (default 1).
     #[must_use]
     pub fn replications(mut self, replications: u64) -> Self {
-        self.replications = replications;
+        self.run.replications = replications;
         self
     }
 
     /// Safety cap on executed engine events.
     #[must_use]
     pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
+        self.config.max_events = max_events;
         self
     }
 
@@ -542,7 +505,7 @@ impl SimBuilder {
     /// paper's 90%).
     #[must_use]
     pub fn confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
+        self.run.confidence = confidence;
         self
     }
 
@@ -550,7 +513,7 @@ impl SimBuilder {
     /// 20).
     #[must_use]
     pub fn batches(mut self, batches: usize) -> Self {
-        self.batches = batches;
+        self.run.batches = batches;
         self
     }
 
@@ -561,7 +524,7 @@ impl SimBuilder {
     /// serial path.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.run.shards = shards;
         self
     }
 
@@ -570,7 +533,7 @@ impl SimBuilder {
     /// runs sample nothing.
     #[must_use]
     pub fn metrics_every(mut self, every: f64) -> Self {
-        self.metrics_every = every;
+        self.run.metrics_every = every;
         self
     }
 
@@ -581,7 +544,7 @@ impl SimBuilder {
     /// bit-identical with or without the heartbeat.
     #[must_use]
     pub fn progress(mut self, every: f64) -> Self {
-        self.progress_every = Some(every);
+        self.run.progress_every = Some(every);
         self
     }
 
@@ -592,7 +555,7 @@ impl SimBuilder {
     /// clock off (see `FlightRecorder::cheap`).
     #[must_use]
     pub fn trace_cheap(mut self, on: bool) -> Self {
-        self.trace_cheap = on;
+        self.run.trace_cheap = on;
         self
     }
 
@@ -601,15 +564,7 @@ impl SimBuilder {
     /// default). Overwrites are counted, never silent.
     #[must_use]
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Replace [`Sim::run_flight`]'s record filter (applied on top of
-    /// the tier picked by [`SimBuilder::trace_cheap`]).
-    #[must_use]
-    pub fn trace_filter(mut self, filter: RecordFilter) -> Self {
-        self.trace_filter = Some(filter);
+        self.run.trace_capacity = capacity;
         self
     }
 
@@ -630,7 +585,7 @@ impl SimBuilder {
     /// with [`Sim::run_flight`], which streams as well.
     #[must_use]
     pub fn stream_chunk(mut self, chunk: usize) -> Self {
-        self.stream_chunk = chunk;
+        self.run.stream_chunk = chunk;
         self
     }
 
@@ -642,7 +597,11 @@ impl SimBuilder {
         self
     }
 
-    /// Validate the description into a runnable [`Sim`].
+    /// Validate the description into a runnable [`Sim`]. The engine
+    /// knobs are checked by [`SchedConfig::validate`]: a bad eviction,
+    /// gang or failure parameter is a [`SimError::InvalidPolicy`],
+    /// any other knob a [`SimError::InvalidPool`], each with the
+    /// engine's field and reason.
     pub fn build(self) -> Result<Sim, SimError> {
         if self.workstations == 0 {
             return Err(SimError::InvalidPool {
@@ -674,60 +633,31 @@ impl SimBuilder {
         };
         let workload = self.workload.ok_or(SimError::MissingWorkload)?;
         workload.validate()?;
-        self.eviction
-            .validate()
-            .map_err(|(field, reason)| SimError::InvalidPolicy { field, reason })?;
-        self.gang
-            .validate()
-            .map_err(|(field, reason)| SimError::InvalidPolicy { field, reason })?;
-        if let Some(model) = &self.failures {
-            model
-                .validate()
-                .map_err(|(field, reason)| SimError::InvalidPolicy { field, reason })?;
-        }
-        if self.shards == 0 {
+        let config = SchedConfig {
+            owners,
+            ..self.config
+        };
+        config.validate().map_err(knob_error)?;
+        let run = self.run;
+        if run.shards == 0 {
             return Err(SimError::InvalidPool {
                 field: "shards",
                 reason: "need at least one shard".into(),
             });
         }
-        if !(self.admission_threshold.is_finite() && self.admission_threshold > 0.0) {
-            return Err(SimError::InvalidPool {
-                field: "admission_threshold",
-                reason: format!("{} not finite > 0", self.admission_threshold),
-            });
-        }
-        if !(self.estimator_tau.is_finite() && self.estimator_tau > 0.0) {
-            return Err(SimError::InvalidPool {
-                field: "estimator_tau",
-                reason: format!("{} not finite > 0", self.estimator_tau),
-            });
-        }
-        if !(self.calibration_horizon.is_finite() && self.calibration_horizon >= 0.0) {
-            return Err(SimError::InvalidPool {
-                field: "calibration_horizon",
-                reason: format!("{} not finite >= 0", self.calibration_horizon),
-            });
-        }
-        if self.replications == 0 {
+        if run.replications == 0 {
             return Err(SimError::InvalidPool {
                 field: "replications",
                 reason: "need at least one replication".into(),
             });
         }
-        if self.max_events == 0 {
-            return Err(SimError::InvalidPool {
-                field: "max_events",
-                reason: "must be positive".into(),
-            });
-        }
-        if !(self.metrics_every.is_finite() && self.metrics_every > 0.0) {
+        if !(run.metrics_every.is_finite() && run.metrics_every > 0.0) {
             return Err(SimError::InvalidPool {
                 field: "metrics_every",
-                reason: format!("{} not finite > 0", self.metrics_every),
+                reason: format!("{} not finite > 0", run.metrics_every),
             });
         }
-        if let Some(every) = self.progress_every {
+        if let Some(every) = run.progress_every {
             if !(every.is_finite() && every > 0.0) {
                 return Err(SimError::InvalidPool {
                     field: "progress",
@@ -735,44 +665,24 @@ impl SimBuilder {
                 });
             }
         }
-        if !(self.confidence > 0.0 && self.confidence < 1.0) {
+        if !(run.confidence > 0.0 && run.confidence < 1.0) {
             return Err(SimError::InvalidWorkload {
                 field: "confidence",
-                reason: format!("{} not in (0, 1)", self.confidence),
+                reason: format!("{} not in (0, 1)", run.confidence),
             });
         }
-        if workload.is_open() && self.batches < 2 {
+        if workload.is_open() && run.batches < 2 {
             return Err(SimError::InvalidWorkload {
                 field: "batches",
                 reason: format!(
                     "{} batches cannot form an interval (need >= 2)",
-                    self.batches
+                    run.batches
                 ),
             });
         }
         Ok(Sim {
-            workstations: self.workstations,
-            owners,
-            placement: self.placement,
-            eviction: self.eviction,
-            gang: self.gang,
-            failures: self.failures,
-            discipline: self.discipline,
-            admission_threshold: self.admission_threshold,
-            estimator_tau: self.estimator_tau,
-            calibration_horizon: self.calibration_horizon,
-            seed: self.seed,
-            replications: self.replications,
-            max_events: self.max_events,
-            confidence: self.confidence,
-            batches: self.batches,
-            shards: self.shards,
-            metrics_every: self.metrics_every,
-            progress_every: self.progress_every,
-            trace_cheap: self.trace_cheap,
-            trace_capacity: self.trace_capacity,
-            trace_filter: self.trace_filter,
-            stream_chunk: self.stream_chunk,
+            config,
+            run,
             workload,
         })
     }
@@ -780,6 +690,27 @@ impl SimBuilder {
     /// Build and run in one call.
     pub fn run(self) -> Result<Report, SimError> {
         self.build()?.run()
+    }
+}
+
+/// The knobs [`SchedConfig::validate`] range-checks by their own name;
+/// its other rejections name an eviction, gang or failure parameter.
+const POOL_KNOBS: [&str; 5] = [
+    "owners",
+    "admission_threshold",
+    "estimator_tau",
+    "calibration_horizon",
+    "max_events",
+];
+
+/// A [`SchedConfig::validate`] rejection as the builder reports it.
+fn knob_error(e: SchedError) -> SimError {
+    match e {
+        SchedError::InvalidConfig { field, reason } if POOL_KNOBS.contains(&field) => {
+            SimError::InvalidPool { field, reason }
+        }
+        SchedError::InvalidConfig { field, reason } => SimError::InvalidPolicy { field, reason },
+        e => e.into(),
     }
 }
 
@@ -1240,5 +1171,85 @@ mod tests {
         // The engine gauges the pool for every configuration.
         assert!(report.runs[0].mean_available_machines > 0.0);
         assert!(report.is_consistent());
+    }
+
+    #[test]
+    fn the_builder_defaults_are_sched_configs() {
+        let jobs = vec![JobSpec::at_zero(3, 40.0), JobSpec::at_zero(5, 25.0)];
+        for (w, seed) in [(1, 0), (5, 77), (16, 0x5EED)] {
+            let lowered = Sim::pool(w)
+                .owners(owner(0.1))
+                .workload(closed(jobs.clone()))
+                .seed(seed)
+                .build()
+                .unwrap()
+                .lower(0)
+                .unwrap();
+            let engine = SchedConfig {
+                seed,
+                ..SchedConfig::homogeneous(w, &owner(0.1), jobs.clone())
+            };
+            assert_eq!(format!("{lowered:?}"), format!("{engine:?}"), "W={w}");
+        }
+    }
+
+    #[test]
+    fn the_default_sched_config_lacks_only_owners() {
+        let Err(SchedError::InvalidConfig { field, .. }) = SchedConfig::default().validate() else {
+            panic!("a config without machines must be rejected");
+        };
+        assert_eq!(field, "owners");
+        let one_machine = SchedConfig {
+            owners: vec![owner(0.1)],
+            ..SchedConfig::default()
+        };
+        assert_eq!(one_machine.validate(), Ok(()));
+    }
+
+    #[test]
+    fn pool_knob_errors_are_the_engines() {
+        let base = || {
+            Sim::pool(4)
+                .owners(owner(0.1))
+                .workload(single_job(4, 10.0))
+        };
+        let engine = |spoil: fn(&mut SchedConfig)| {
+            let mut cfg = SchedConfig::homogeneous(4, &owner(0.1), Vec::new());
+            spoil(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        for (knob, built, rejected) in [
+            (
+                "admission_threshold",
+                base().admission_threshold(0.0).build(),
+                engine(|c| c.admission_threshold = 0.0),
+            ),
+            (
+                "admission_threshold",
+                base().admission_threshold(f64::NAN).build(),
+                engine(|c| c.admission_threshold = f64::NAN),
+            ),
+            (
+                "estimator_tau",
+                base().estimator_tau(-1.0).build(),
+                engine(|c| c.estimator_tau = -1.0),
+            ),
+            (
+                "calibration_horizon",
+                base().calibration(f64::INFINITY).build(),
+                engine(|c| c.calibration_horizon = f64::INFINITY),
+            ),
+            (
+                "max_events",
+                base().max_events(0).build(),
+                engine(|c| c.max_events = 0),
+            ),
+        ] {
+            let SchedError::InvalidConfig { field, reason } = rejected else {
+                panic!("{knob}: not a config error: {rejected}");
+            };
+            assert_eq!(field, knob);
+            assert_eq!(built.unwrap_err(), SimError::InvalidPool { field, reason });
+        }
     }
 }

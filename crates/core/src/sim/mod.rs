@@ -1,8 +1,10 @@
 //! # The unified experiment API
 //!
-//! One fluent builder for every experiment in the workspace, replacing
-//! the per-shape config structs (`ClusterConfig`, `SchedConfig`, the
-//! hard-coded `Scenario` parameters) with three composable pieces:
+//! One fluent builder for every experiment in the workspace. It wraps
+//! the scheduler engine's [`SchedConfig`](nds_sched::SchedConfig), so
+//! its defaults and range checks are the engine's own, and stands in
+//! for the per-shape `ClusterConfig` and the hard-coded `Scenario`
+//! parameters with three composable pieces:
 //!
 //! * a [`Workload`] trait — **closed** job sets ([`closed`],
 //!   [`single_job`]: today's model) and **open** arrival streams

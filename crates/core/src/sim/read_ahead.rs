@@ -7,8 +7,11 @@
 //! bounded-Pareto draw per job). The event loop stays on its thread.
 //!
 //! * Building a [`ReadAhead`] spawns nothing and never polls the inner
-//!   feed. The first [`JobFeed::next_chunk`] moves the inner feed onto
-//!   the worker, so the process is multi-threaded from the first pull.
+//!   feed. The first [`JobFeed::next_chunk`] draws the first batch on
+//!   the caller's thread and moves the inner feed onto the worker only
+//!   if that batch filled. A day shorter than one batch never starts a
+//!   thread, where a worker would overlap nothing; a longer one runs
+//!   on two threads past its first batch.
 //! * The worker fills recycled buffers of [`BATCH`] specs and hands
 //!   each over a rendezvous channel, so it is at most one batch ahead
 //!   of the reader whatever the reader's chunk size.
@@ -17,11 +20,12 @@
 //!   fills every request, as the synthetic sampler does. An inner-feed
 //!   error arrives after every job drawn before it, and a failed feed
 //!   keeps returning that error.
-//! * A worker panic is re-raised in the reader by the pull that finds
-//!   it, never read as the end of the day. Dropping a live feed closes
-//!   the channel and joins the worker; a panic that only the drop sees
-//!   is not re-raised (`Drop` must not panic), and the panic hook has
-//!   printed it already.
+//! * A panic while drawing the first batch unwinds the caller as it
+//!   happens. A worker panic is re-raised in the reader by the pull
+//!   that finds it, never read as the end of the day. Dropping a live
+//!   feed closes the channel and joins the worker; a panic that only
+//!   the drop sees is not re-raised (`Drop` must not panic), and the
+//!   panic hook has printed it already.
 
 use nds_sched::feed::JobFeed;
 use nds_sched::{JobSpec, SchedError};
@@ -47,6 +51,9 @@ enum Msg {
 /// A [`JobFeed`] that draws `F` one batch ahead on a worker thread.
 pub(crate) struct ReadAhead<F> {
     stage: Stage<F>,
+    /// The batch being served; `batch[pos..]` is still to go.
+    batch: Vec<JobSpec>,
+    pos: usize,
 }
 
 enum Stage<F> {
@@ -54,8 +61,8 @@ enum Stage<F> {
     Idle(F),
     /// The worker draws ahead.
     Live(Worker),
-    /// The day ended (`None`) or the inner feed failed, and the worker
-    /// is joined.
+    /// The day ended (`None`) or the inner feed failed, and no worker
+    /// runs.
     Over(Option<SchedError>),
 }
 
@@ -65,17 +72,28 @@ struct Worker {
     /// Served batches go back to the worker for reuse.
     spent: Sender<Vec<JobSpec>>,
     handle: JoinHandle<()>,
-    /// The batch being served; `batch[pos..]` is still to go.
-    batch: Vec<JobSpec>,
-    pos: usize,
 }
 
 impl<F: JobFeed + Send + 'static> ReadAhead<F> {
-    /// Wrap `feed`; the worker starts at the first pull.
+    /// Wrap `feed`; nothing is drawn before the first pull.
     pub(crate) fn new(feed: F) -> Self {
         Self {
             stage: Stage::Idle(feed),
+            batch: Vec::new(),
+            pos: 0,
         }
+    }
+
+    /// The first pull: draw the first batch here, and hand `feed` to a
+    /// worker only if the batch filled, since a shorter day has ended.
+    fn first_batch(&mut self, mut feed: F) {
+        let mut batch = Vec::with_capacity(BATCH); // ndslint::allow(no-alloc-in-hot-path, reason = "per-run set-up: the first batch, which later circulates to the worker")
+        self.stage = match fill(&mut feed, &mut batch) {
+            Ok(true) => Self::start(feed),
+            Ok(false) => Stage::Over(None),
+            Err(err) => Stage::Over(Some(err)),
+        };
+        self.batch = batch;
     }
 
     fn start(feed: F) -> Stage<F> {
@@ -89,8 +107,6 @@ impl<F: JobFeed + Send + 'static> ReadAhead<F> {
                 batches,
                 spent,
                 handle,
-                batch: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "an empty Vec does not allocate; the first batch replaces it")
-                pos: 0,
             }),
             Err(e) => Stage::Over(Some(SchedError::InvalidConfig {
                 field: "feed",
@@ -118,7 +134,6 @@ impl Worker {
             batches,
             spent,
             handle,
-            ..
         } = self;
         drop((batches, spent));
         handle.join()
@@ -129,11 +144,18 @@ impl<F: JobFeed + Send + 'static> JobFeed for ReadAhead<F> {
     fn next_chunk(&mut self, max: usize, buf: &mut Vec<JobSpec>) -> Result<usize, SchedError> {
         if matches!(self.stage, Stage::Idle(_)) {
             if let Stage::Idle(feed) = mem::replace(&mut self.stage, Stage::Over(None)) {
-                self.stage = Self::start(feed);
+                self.first_batch(feed);
             }
         }
         let mut n = 0;
         while n < max {
+            if self.pos < self.batch.len() {
+                let take = (max - n).min(self.batch.len() - self.pos);
+                buf.extend_from_slice(&self.batch[self.pos..self.pos + take]);
+                self.pos += take;
+                n += take;
+                continue;
+            }
             let worker = match &mut self.stage {
                 Stage::Live(worker) => worker,
                 // Jobs appended by this call go out first; the error
@@ -141,22 +163,12 @@ impl<F: JobFeed + Send + 'static> JobFeed for ReadAhead<F> {
                 Stage::Over(Some(err)) if n == 0 => return Err(err.clone()), // ndslint::allow(no-alloc-in-hot-path, reason = "error path: a failed feed repeats its error")
                 Stage::Over(_) | Stage::Idle(_) => break,
             };
-            if worker.pos < worker.batch.len() {
-                let take = (max - n).min(worker.batch.len() - worker.pos);
-                buf.extend_from_slice(&worker.batch[worker.pos..worker.pos + take]);
-                worker.pos += take;
-                n += take;
-                continue;
-            }
-            let spent = mem::take(&mut worker.batch);
-            if !spent.is_empty() {
-                // A worker that has exited has dropped its end; nothing
-                // is lost.
-                let _ = worker.spent.send(spent);
-            }
-            worker.pos = 0;
+            // A worker that has exited has dropped its end; nothing is
+            // lost.
+            let _ = worker.spent.send(mem::take(&mut self.batch));
+            self.pos = 0;
             match worker.batches.recv() {
-                Ok(Msg::Batch(batch)) => worker.batch = batch,
+                Ok(Msg::Batch(batch)) => self.batch = batch,
                 Ok(Msg::End) => self.finish(None),
                 Ok(Msg::Failed(err)) => self.finish(Some(err)),
                 Err(_) => {
@@ -188,8 +200,8 @@ fn draw<F: JobFeed>(mut feed: F, batches: &SyncSender<Msg>, spent: &Receiver<Vec
                 batch.clear();
                 batch
             }
-            // Two buffers circulate once the reader returns its first.
-            Err(_) => Vec::with_capacity(BATCH), // ndslint::allow(no-alloc-in-hot-path, reason = "per-run set-up: the worker allocates its first two batches, then reuses served ones")
+            // With the reader's first batch, two buffers circulate.
+            Err(_) => Vec::with_capacity(BATCH), // ndslint::allow(no-alloc-in-hot-path, reason = "per-run set-up: the worker allocates its first batch, then reuses served ones")
         };
         let filled = fill(&mut feed, &mut batch);
         if !batch.is_empty() && batches.send(Msg::Batch(batch)).is_err() {
@@ -222,7 +234,8 @@ mod tests {
     use super::*;
     use crate::sim::{SyntheticTrace, Workload};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     /// A day that does not end on a batch boundary.
@@ -279,13 +292,15 @@ mod tests {
 
     /// A scripted inner feed: jobs `0..len` (arrival = index), served
     /// `min(max, left)` per call like the synthetic sampler, with an
-    /// optional fault on reaching job `at`. It counts its polls and
-    /// marks its drop; a slow drop takes 50 ms first.
+    /// optional fault on reaching job `at`. It counts its polls, logs
+    /// each poll's thread and first job, and marks its drop; a slow
+    /// drop takes 50 ms first.
     struct Script {
         next: usize,
         len: usize,
         fault: Option<(usize, Fault)>,
         polls: Arc<AtomicUsize>,
+        poll_log: Arc<Mutex<Vec<(ThreadId, usize)>>>,
         dropped: Arc<AtomicBool>,
         slow_drop: bool,
     }
@@ -297,6 +312,7 @@ mod tests {
                 len,
                 fault,
                 polls: Arc::default(),
+                poll_log: Arc::default(),
                 dropped: Arc::default(),
                 slow_drop: false,
             }
@@ -314,6 +330,8 @@ mod tests {
     impl JobFeed for Script {
         fn next_chunk(&mut self, max: usize, buf: &mut Vec<JobSpec>) -> Result<usize, SchedError> {
             self.polls.fetch_add(1, Ordering::SeqCst);
+            let poll = (thread::current().id(), self.next);
+            self.poll_log.lock().unwrap().push(poll);
             let stop = match self.fault {
                 Some((at, _)) if at < self.len => at,
                 _ => self.len,
@@ -423,5 +441,27 @@ mod tests {
             (1..10).contains(&drawn),
             "stopped mid-day after {drawn} batches"
         );
+    }
+
+    #[test]
+    fn only_jobs_past_the_first_batch_are_drawn_off_the_callers_thread() {
+        let caller = thread::current().id();
+        for (day, max) in [(5, 1), (BATCH - 1, 7), (BATCH - 1, BATCH), (3 * BATCH, 100)] {
+            let script = Script::new(day, None);
+            let log = script.poll_log.clone();
+            drain(&mut ReadAhead::new(script), day, |_| max);
+            let log = log.lock().unwrap();
+            let (first, later): (Vec<_>, Vec<_>) = log.iter().partition(|&&(_, at)| at < BATCH);
+            assert!(!first.is_empty(), "day {day}: the first batch was polled");
+            assert!(
+                first.iter().all(|&&(thread, _)| thread == caller),
+                "day {day}: the first batch is drawn on the caller's thread"
+            );
+            assert!(
+                later.iter().all(|&&(thread, _)| thread != caller),
+                "day {day}: later batches are drawn on the worker"
+            );
+            assert_eq!(later.is_empty(), day < BATCH, "day {day}");
+        }
     }
 }

@@ -23,16 +23,19 @@
 //! bounded memory: the synthetic sampler draws jobs lazily, and the
 //! trace replays its rows chunk by chunk.
 //!
-//! The synthetic feed reads ahead. Its first pull moves the sampler
-//! onto one worker thread, which draws batches of 8,192 jobs into
-//! recycled buffers and stays at most one batch ahead of the engine,
-//! so the event loop stops waiting on the sampler. The engine gets the
-//! same specs in the same chunks as from the sampler itself, every
-//! draw unchanged, and its event loop stays on the calling thread.
-//! Building a feed spawns nothing, but the process is multi-threaded
-//! from the first pull. Dropping the feed joins the worker; a worker
-//! panic is re-raised by the pull that finds it, never read as the end
-//! of the day. The trace's feed (a slice copy) stays synchronous.
+//! The synthetic feed reads ahead. Its first pull draws the first
+//! batch of 8,192 jobs on the calling thread and, only if that batch
+//! filled, moves the sampler onto one worker thread, which draws the
+//! next batches into recycled buffers and stays at most one batch
+//! ahead of the engine, so the event loop stops waiting on the
+//! sampler. The engine gets the same specs in the same chunks as from
+//! the sampler itself, every draw unchanged, and its event loop stays
+//! on the calling thread. Building a feed spawns nothing, and a day
+//! shorter than 8,192 jobs never starts a thread: a streamed synthetic
+//! run uses two threads only past its first 8,192 jobs. Dropping the feed
+//! joins the worker; a worker panic is re-raised by the pull that
+//! finds it, never read as the end of the day. The trace's feed (a
+//! slice copy) stays synchronous.
 //!
 //! File format (CSV; `#` comments and blank lines are skipped, the
 //! header row is optional):
@@ -785,10 +788,11 @@ impl Workload for SyntheticTrace {
 
     /// The day's jobs, drawn one batch ahead of the engine on a worker
     /// thread: the same specs in the same chunks as
-    /// [`Workload::generate`], every draw unchanged. The worker starts
-    /// at the first pull, so the process is multi-threaded from then
-    /// on. Dropping the feed joins the worker, and a worker panic is
-    /// re-raised by the pull that finds it.
+    /// [`Workload::generate`], every draw unchanged. The first pull
+    /// draws the first 8,192 jobs on the calling thread and starts the
+    /// worker only if that batch filled, so a shorter day stays on one
+    /// thread. Dropping the feed joins the worker, and a
+    /// worker panic is re-raised by the pull that finds it.
     fn feed(&self, seed: u64, replication: u64) -> Result<Box<dyn JobFeed + '_>, SimError> {
         let sampler = self.sampler(seed, replication)?;
         Ok(Box::new(ReadAhead::new(sampler))) // ndslint::allow(no-alloc-in-hot-path, reason = "one boxed feed per replication is setup, not steady state")

@@ -163,13 +163,16 @@ pub struct SchedConfig {
     pub failures: Option<FailureModel>,
 }
 
-impl SchedConfig {
-    /// A homogeneous pool of `w` machines sharing one owner workload,
-    /// with every other knob at its default.
-    pub fn homogeneous(w: u32, owner: &OwnerWorkload, jobs: Vec<JobSpec>) -> Self {
+impl Default for SchedConfig {
+    /// No machines and no jobs; every other knob at the default that
+    /// [`SchedConfig::homogeneous`] and the `Sim` builder start from
+    /// (suspend-resume eviction is the paper's model). Literals fill in
+    /// `owners` and spell only what they change:
+    /// `SchedConfig { owners, seed: 7, ..SchedConfig::default() }`.
+    fn default() -> Self {
         Self {
-            owners: vec![owner.clone(); w as usize], // ndslint::allow(no-alloc-in-hot-path, reason = "config construction, runs once per experiment")
-            jobs,
+            owners: Vec::new(),
+            jobs: Vec::new(),
             placement: PlacementKind::LeastLoaded,
             eviction: EvictionPolicy::SuspendResume,
             gang: GangPolicy::Off,
@@ -181,6 +184,18 @@ impl SchedConfig {
             replication: 0,
             max_events: 20_000_000,
             failures: None,
+        }
+    }
+}
+
+impl SchedConfig {
+    /// A homogeneous pool of `w` machines sharing one owner workload,
+    /// with every other knob at its default.
+    pub fn homogeneous(w: u32, owner: &OwnerWorkload, jobs: Vec<JobSpec>) -> Self {
+        Self {
+            owners: vec![owner.clone(); w as usize], // ndslint::allow(no-alloc-in-hot-path, reason = "config construction, runs once per experiment")
+            jobs,
+            ..Self::default()
         }
     }
 

@@ -853,9 +853,8 @@ fn faults(b: SimBuilder, a: &Args) -> Result<SimBuilder, CliError> {
 /// replication's exports under `dir` (`repN.trace.jsonl`,
 /// `repN.chrome.json`, `repN.metrics.json`, `repN.profile.json`).
 fn trace_to_dir(sim: &Sim, dir: &str) -> Result<Vec<Flight>, CliError> {
-    let flights = sim
-        .run_flight()
-        .map_err(|e| failed(format!("flight recorder: {e}")))?;
+    // A config the engine rejects is a usage error, as for an untraced run.
+    let flights = sim.run_flight()?;
     let dir = std::path::Path::new(dir);
     let creating = |e| failed(format!("creating {}: {e}", dir.display()));
     std::fs::create_dir_all(dir).map_err(creating)?;

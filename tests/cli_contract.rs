@@ -203,8 +203,9 @@ fn rejected_inputs_exit_two() {
         // Replay flags the chosen workload cannot use.
         "replay --utilization 0.5",
         "replay tests/data/datacenter_small.csv --jobs 5",
-        // A gang the pool can never co-allocate.
+        // A gang the pool can never co-allocate, run or traced.
         "gang --gang-size 99 --workstations 8",
+        "trace gang --workstations 2",
     ] {
         assert_usage_error(&dir, line);
     }

@@ -18,9 +18,7 @@
 //! ```
 
 use nds::core::sim::{SyntheticTrace, TraceWorkload, Workload};
-use nds::sched::{
-    EvictionPolicy, GangPolicy, PlacementKind, QueueDiscipline, SchedConfig, SchedMetrics,
-};
+use nds::sched::{SchedConfig, SchedMetrics};
 use nds_cluster::owner::OwnerWorkload;
 use std::fmt::Write as _;
 
@@ -31,18 +29,8 @@ const SEED: u64 = 0x7ACE;
 fn config(owners: Vec<OwnerWorkload>) -> SchedConfig {
     SchedConfig {
         owners,
-        jobs: Vec::new(),
-        placement: PlacementKind::LeastLoaded,
-        eviction: EvictionPolicy::SuspendResume,
-        gang: GangPolicy::Off,
-        failures: None,
-        discipline: QueueDiscipline::Fcfs,
-        admission_threshold: 1.0,
-        estimator_tau: 1_000.0,
-        calibration_horizon: 0.0,
         seed: SEED,
-        replication: 0,
-        max_events: 20_000_000,
+        ..SchedConfig::default()
     }
 }
 
