@@ -26,6 +26,14 @@
 //! uniform below θ is one whose exact inversion exceeds `T`; any other
 //! draw runs the gap loop from that same uniform. The RNG draws and
 //! every [`TaskOutcome`] are those of the plain loop.
+//!
+//! A settled task reads one state word. The first output of
+//! xoshiro256** depends only on the second of its four state words, so
+//! the job-time path that [`crate::experiment::JobTimeExperiment`]
+//! runs takes each task's stream seed and computes that first uniform
+//! alone ([`Xoshiro256StarStar::first_f64_open`]). Only a uniform at
+//! or above θ expands the full state and runs
+//! [`DiscreteTaskSim::run_task`], which draws the same uniform again.
 
 use crate::task::TaskOutcome;
 use nds_stats::distributions::Geometric;
@@ -58,7 +66,8 @@ pub struct DiscreteTaskSim {
     /// Gaps between owner requests; `None` when `P = 0`.
     gap: Option<Geometric>,
     /// The squeeze θ: a first uniform below it leaves the task
-    /// uninterrupted.
+    /// uninterrupted. 0 without the guarantee, where no single uniform
+    /// settles a task.
     squeeze: f64,
 }
 
@@ -95,7 +104,23 @@ impl DiscreteTaskSim {
     /// Same parameters without the progress guarantee.
     pub fn without_guarantee(mut self) -> Self {
         self.guarantee = ProgressGuarantee::None;
+        self.squeeze = 0.0;
         self
+    }
+
+    /// The execution time [`DiscreteTaskSim::run_task`] returns on
+    /// `Xoshiro256StarStar::new(seed)`. A first uniform below the
+    /// squeeze settles the task from one state word of that stream
+    /// (module docs); any other runs `run_task` on the stream.
+    #[inline]
+    pub(crate) fn task_time(&self, seed: u64) -> f64 {
+        if Xoshiro256StarStar::first_f64_open(seed) < self.squeeze {
+            // Uninterrupted: `T + 0·O` is `T`.
+            self.task_demand as f64
+        } else {
+            self.run_task(&mut Xoshiro256StarStar::new(seed))
+                .execution_time
+        }
     }
 
     /// Simulate one task, returning its outcome.
@@ -353,7 +378,14 @@ mod tests {
         for (t, p) in cases {
             let sim = DiscreteTaskSim::paper(t, p, 10.0);
             for _ in 0..10 {
-                let mut a = Xoshiro256StarStar::new(pick.next());
+                let seed = pick.next();
+                let want = reference_run_task(t, p, 10.0, &mut Xoshiro256StarStar::new(seed));
+                assert_eq!(
+                    sim.task_time(seed).to_bits(),
+                    want.execution_time.to_bits(),
+                    "T = {t}, P = {p}, seed {seed:#x}: the seeded path"
+                );
+                let mut a = Xoshiro256StarStar::new(seed);
                 let mut b = a.clone();
                 for _ in 0..20 {
                     let got = sim.run_task(&mut a);

@@ -10,12 +10,22 @@
 //! completion times with the discrete-time (model-exact) simulator,
 //! groups them into batches, and checks the analytical `E_j` falls
 //! inside the confidence interval.
+//!
+//! Every job is an independent replication on its own streams, so the
+//! batches are too: each batch's mean is worked out on its own, over
+//! its jobs in replication order, and the batches fan out over
+//! [`parallel_map`]'s threads. The means, and so every output byte,
+//! do not depend on the thread count.
 
 use crate::discrete::DiscreteTaskSim;
 use crate::error::ClusterError;
 use crate::job::JobRunner;
 use nds_stats::autocorr::{check_batch_independence, BatchDiagnostic};
 use nds_stats::batch_means::{BatchMeans, BatchMeansReport, PAPER_BATCHES, PAPER_BATCH_SIZE};
+use nds_stats::parallel::parallel_map;
+use nds_stats::student_t::check_confidence;
+use nds_stats::summary::RunningStats;
+use nds_stats::StatsError;
 
 /// A batch-means experiment measuring mean job completion time.
 #[derive(Debug, Clone)]
@@ -71,17 +81,56 @@ impl JobTimeExperiment {
     /// interval to be trustworthy). Since each job sample here is an
     /// independent replication, the diagnostic should virtually always
     /// accept; it exists to guard future steady-state experiments.
+    ///
+    /// A configuration the report or the diagnostic rejects fails
+    /// before any job is simulated: a zero `batch_size`, fewer than
+    /// three `batches` or a `confidence` outside `(0, 1)`.
     pub fn run_with_diagnostic(&self) -> Result<(BatchMeansReport, BatchDiagnostic), ClusterError> {
+        self.run_on(self.batches)
+    }
+
+    /// [`JobTimeExperiment::run_with_diagnostic`] on at most
+    /// `max_threads` threads.
+    fn run_on(
+        &self,
+        max_threads: usize,
+    ) -> Result<(BatchMeansReport, BatchDiagnostic), ClusterError> {
+        self.check()?;
         let runner = JobRunner::new(self.seed);
-        let mut collector = BatchMeans::new(self.batch_size)?;
-        let total = (self.batches * self.batch_size) as u64;
-        for rep in 0..total {
-            let job = runner.run_discrete_job(&self.sim, self.workstations, rep);
-            collector.push(job.job_time());
-        }
-        let report = collector.report(self.confidence)?;
-        let diagnostic = check_batch_independence(collector.batch_means())?;
+        let size = self.batch_size as u64;
+        let batches: Vec<u64> = (0..self.batches as u64).collect();
+        // Each mean is the one `BatchMeans::push` keeps for its batch.
+        let means = parallel_map(&batches, max_threads, |&b| {
+            let mut batch = RunningStats::new();
+            for rep in b * size..(b + 1) * size {
+                batch.push(runner.discrete_job_time(&self.sim, self.workstations, rep));
+            }
+            batch.mean()
+        });
+        let report = BatchMeansReport::from_means(&means, self.batch_size, self.confidence)?;
+        let diagnostic = check_batch_independence(&means)?;
         Ok((report, diagnostic))
+    }
+
+    /// The first error the batch-size check, the report or the
+    /// diagnostic would return, found without simulating.
+    fn check(&self) -> Result<(), StatsError> {
+        BatchMeans::new(self.batch_size)?;
+        if self.batches < 2 {
+            return Err(StatsError::InsufficientData {
+                needed: 2,
+                got: self.batches,
+            });
+        }
+        check_confidence(self.confidence)?;
+        // The diagnostic's lag-1 autocorrelation needs a third mean.
+        if self.batches < 3 {
+            return Err(StatsError::InsufficientData {
+                needed: 3,
+                got: self.batches,
+            });
+        }
+        Ok(())
     }
 
     /// Run the experiment and compare against an analytical prediction
@@ -194,6 +243,89 @@ mod tests {
             "independent replications must pass: lag1 {} vs threshold {}",
             diag.lag1, diag.threshold
         );
+    }
+
+    /// The parent's sequential loop: every job into one `BatchMeans`.
+    fn sequential_run(exp: &JobTimeExperiment) -> (BatchMeansReport, BatchDiagnostic) {
+        let runner = JobRunner::new(exp.seed);
+        let mut collector = BatchMeans::new(exp.batch_size).unwrap();
+        for rep in 0..(exp.batches * exp.batch_size) as u64 {
+            let job = runner.run_discrete_job(&exp.sim, exp.workstations, rep);
+            collector.push(job.job_time());
+        }
+        let report = collector.report(exp.confidence).unwrap();
+        let diagnostic = check_batch_independence(collector.batch_means()).unwrap();
+        (report, diagnostic)
+    }
+
+    #[test]
+    fn batches_on_threads_match_the_sequential_collector() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Above one thread, a batch count the thread count does not
+        // divide: the fan-out's chunks differ in length.
+        let batches = 2 * threads + 1;
+        let p = 0.10 / (10.0 * 0.90);
+        let sims = [
+            DiscreteTaskSim::paper(100, p, 10.0),
+            DiscreteTaskSim::paper(30, 0.2, 10.0).without_guarantee(),
+        ];
+        for sim in sims {
+            let exp = JobTimeExperiment {
+                batches,
+                batch_size: 40,
+                ..JobTimeExperiment::quick(sim, 10, 3)
+            };
+            let (want, want_diag) = sequential_run(&exp);
+            for max_threads in [1, threads] {
+                let (got, diag) = exp.run_on(max_threads).unwrap();
+                let context = format!("{sim:?} on {max_threads} of {threads} threads");
+                for (g, w) in [
+                    (got.mean, want.mean),
+                    (got.half_width, want.half_width),
+                    (got.confidence, want.confidence),
+                    (diag.lag1, want_diag.lag1),
+                    (diag.threshold, want_diag.threshold),
+                ] {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{context}");
+                }
+                assert_eq!((got.batches, got.batch_size), (batches, 40), "{context}");
+                assert_eq!(diag.acceptable, want_diag.acceptable, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_configuration_returns_the_reports_error() {
+        let sim = DiscreteTaskSim::paper(50, 0.05, 10.0);
+        let exp = |batches, batch_size, confidence| JobTimeExperiment {
+            batches,
+            batch_size,
+            confidence,
+            ..JobTimeExperiment::quick(sim, 4, 1)
+        };
+        for c in [0.0, 1.0, -0.5, f64::NAN] {
+            match exp(10, 10, c).run() {
+                Err(ClusterError::Stats(StatsError::InvalidParameter {
+                    name: "confidence",
+                    ..
+                })) => {}
+                other => panic!("confidence {c}: {other:?}"),
+            }
+        }
+        let insufficient =
+            |needed, got| ClusterError::Stats(StatsError::InsufficientData { needed, got });
+        assert_eq!(
+            exp(10, 0, 0.9).run().unwrap_err(),
+            ClusterError::Stats(StatsError::InvalidParameter {
+                name: "batch_size",
+                value: 0.0,
+                constraint: "must be >= 1",
+            })
+        );
+        assert_eq!(exp(0, 10, 0.9).run().unwrap_err(), insufficient(2, 0));
+        assert_eq!(exp(1, 10, f64::NAN).run().unwrap_err(), insufficient(2, 1));
+        assert_eq!(exp(2, 10, 0.9).run().unwrap_err(), insufficient(3, 2));
+        assert!(exp(3, 10, 0.9).run().is_ok());
     }
 
     #[test]

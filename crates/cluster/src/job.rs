@@ -86,6 +86,21 @@ impl JobRunner {
         JobResult { tasks }
     }
 
+    /// The [`JobResult::job_time`] of
+    /// [`JobRunner::run_discrete_job`]`(sim, w, replication)`, without
+    /// the per-task outcomes: each task time comes from the seed of the
+    /// same stream, and only the largest is kept.
+    pub(crate) fn discrete_job_time(&self, sim: &DiscreteTaskSim, w: u32, replication: u64) -> f64 {
+        (0..w)
+            .map(|i| {
+                let seed = self
+                    .streams
+                    .labeled_seed("ws-discrete", u64::from(i) << 32 | replication);
+                sim.task_time(seed)
+            })
+            .fold(0.0, f64::max)
+    }
+
     /// Run one job of `w` tasks of the given demand under the
     /// **continuous-time** simulator with homogeneous owner behaviour.
     pub fn run_continuous_job(
@@ -176,6 +191,26 @@ mod tests {
             assert_eq!(small.tasks[i], large.tasks[i], "station {i} changed");
         }
         assert!(large.job_time() >= small.job_time());
+    }
+
+    #[test]
+    fn job_time_fold_matches_the_job_result() {
+        let runner = JobRunner::new(23);
+        let sims = [
+            DiscreteTaskSim::paper(100, 0.05, 10.0),
+            DiscreteTaskSim::paper(100, 0.0, 10.0),
+            DiscreteTaskSim::paper(0, 0.3, 10.0),
+            DiscreteTaskSim::paper(20, 0.1, 10.0).without_guarantee(),
+        ];
+        for sim in &sims {
+            for w in [1, 2, 100] {
+                for rep in 0..20 {
+                    let want = runner.run_discrete_job(sim, w, rep).job_time();
+                    let got = runner.discrete_job_time(sim, w, rep);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{sim:?}, W = {w}, rep {rep}");
+                }
+            }
+        }
     }
 
     #[test]

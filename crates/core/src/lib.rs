@@ -19,7 +19,8 @@
 //! * [`sim`] — the unified experiment builder: trait-based workloads
 //!   (closed job sets and open Poisson streams) behind one fluent
 //!   [`sim::Sim`] API, lowered to the cluster or scheduler engines.
-//! * [`sweep`] — parallel parameter-sweep helpers (scoped threads).
+//! * [`sweep`] — parallel parameter-sweep helpers (scoped threads),
+//!   re-exported from `nds_stats::parallel`.
 //!
 //! ## Quickstart
 //!

@@ -10,7 +10,7 @@
 //! iid normal, and a Student-t interval is formed over them.
 
 use crate::error::StatsError;
-use crate::student_t::t_critical;
+use crate::student_t::{check_confidence, t_critical};
 use crate::summary::RunningStats;
 
 /// The paper's batch count (20 batches per run).
@@ -91,25 +91,10 @@ impl BatchMeans {
 
     /// Produce the confidence-interval report at the given level.
     ///
-    /// Requires at least two completed batches.
+    /// Requires at least two completed batches and a `confidence` in
+    /// `(0, 1)`; see [`BatchMeansReport::from_means`].
     pub fn report(&self, confidence: f64) -> Result<BatchMeansReport, StatsError> {
-        let b = self.batch_means.len();
-        if b < 2 {
-            return Err(StatsError::InsufficientData { needed: 2, got: b });
-        }
-        let mut stats = RunningStats::new();
-        for &m in &self.batch_means {
-            stats.push(m);
-        }
-        let t = t_critical((b - 1) as u32, confidence);
-        let half_width = t * stats.std_error();
-        Ok(BatchMeansReport {
-            mean: stats.mean(),
-            half_width,
-            confidence,
-            batches: b,
-            batch_size: self.batch_size,
-        })
+        BatchMeansReport::from_means(&self.batch_means, self.batch_size, confidence)
     }
 
     /// Convenience: the paper's 90% interval.
@@ -134,6 +119,39 @@ pub struct BatchMeansReport {
 }
 
 impl BatchMeansReport {
+    /// The Student-t interval at level `confidence` over `batch_means`,
+    /// the means of batches of `batch_size` observations each — what
+    /// [`BatchMeans::report`] returns once those means are complete.
+    ///
+    /// Needs at least two means ([`StatsError::InsufficientData`]
+    /// otherwise) and a `confidence` in `(0, 1)`
+    /// ([`StatsError::InvalidParameter`] naming `confidence` otherwise,
+    /// NaN included).
+    pub fn from_means(
+        batch_means: &[f64],
+        batch_size: usize,
+        confidence: f64,
+    ) -> Result<Self, StatsError> {
+        let b = batch_means.len();
+        if b < 2 {
+            return Err(StatsError::InsufficientData { needed: 2, got: b });
+        }
+        check_confidence(confidence)?;
+        let mut stats = RunningStats::new();
+        for &m in batch_means {
+            stats.push(m);
+        }
+        let t = t_critical((b - 1) as u32, confidence);
+        let half_width = t * stats.std_error();
+        Ok(Self {
+            mean: stats.mean(),
+            half_width,
+            confidence,
+            batches: b,
+            batch_size,
+        })
+    }
+
     /// Relative half-width `half_width / |mean|` (infinite if mean = 0).
     pub fn relative_half_width(&self) -> f64 {
         if self.mean == 0.0 {
@@ -196,6 +214,29 @@ mod tests {
         }
         assert_eq!(bm.completed_batches(), 1);
         assert!(bm.report(0.9).is_err());
+    }
+
+    #[test]
+    fn report_rejects_a_confidence_outside_the_unit_interval() {
+        let mut bm = BatchMeans::new(2).unwrap();
+        for x in [1.0, 2.0, 3.0, 4.0] {
+            bm.push(x);
+        }
+        for c in [0.0, 1.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+            match bm.report(c) {
+                Err(StatsError::InvalidParameter {
+                    name: "confidence",
+                    value,
+                    ..
+                }) => assert_eq!(value.to_bits(), c.to_bits()),
+                other => panic!("confidence {c}: {other:?}"),
+            }
+        }
+        // Too few batches is still reported first.
+        assert_eq!(
+            BatchMeansReport::from_means(&[1.0], 2, f64::NAN),
+            Err(StatsError::InsufficientData { needed: 2, got: 1 })
+        );
     }
 
     #[test]

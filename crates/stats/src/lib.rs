@@ -13,7 +13,9 @@
 //! * the batch-means confidence-interval procedure the paper cites from
 //!   Kobayashi ([`batch_means`]), backed by Student-t quantiles
 //!   ([`student_t`]),
-//! * simple fixed-bin histograms ([`histogram`]).
+//! * simple fixed-bin histograms ([`histogram`]),
+//! * the workspace's one fan-out helper over scoped threads
+//!   ([`parallel::parallel_map`]).
 //!
 //! The paper (Leutenegger & Sun, SC'93) validates its analysis with a CSIM
 //! simulation using "batch means with 20 batches per simulation run and a
@@ -28,6 +30,7 @@ pub mod distributions;
 pub mod error;
 pub mod histogram;
 pub mod order_stats;
+pub mod parallel;
 pub mod rng;
 pub mod special;
 pub mod student_t;

@@ -84,10 +84,22 @@ impl Xoshiro256StarStar {
         Self { s }
     }
 
+    /// The first [`Xoshiro256StarStar::next_f64_open`] of
+    /// `Xoshiro256StarStar::new(seed)`, computed from SplitMix64's second
+    /// output alone: the first output reads only the second state word,
+    /// so the other three are never expanded (and `new`'s all-zero
+    /// guard sets only the first).
+    #[inline]
+    pub fn first_f64_open(seed: u64) -> f64 {
+        let mut sm = SplitMix64::new(seed);
+        sm.next(); // the first state word
+        1.0 - unit_f64(star_star(sm.next()))
+    }
+
     /// Next 64 uniformly distributed bits.
     #[allow(clippy::should_implement_trait)] // established name; RngCore::next_u64 delegates here
     pub fn next(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let result = star_star(self.s[1]);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -100,8 +112,7 @@ impl Xoshiro256StarStar {
 
     /// Uniform `f64` in `[0, 1)` using the top 53 bits.
     pub fn next_f64(&mut self) -> f64 {
-        // 2^-53 scaling of the top 53 bits yields a uniform double in [0,1).
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next())
     }
 
     /// Uniform `f64` in `(0, 1]` — safe as an argument to `ln`.
@@ -178,6 +189,19 @@ impl RngCore for Xoshiro256StarStar {
     }
 }
 
+/// The xoshiro256** output scrambler over the second state word.
+#[inline]
+fn star_star(s1: u64) -> u64 {
+    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// A uniform `f64` in `[0, 1)` from the top 53 of 64 random bits.
+#[inline]
+fn unit_f64(bits: u64) -> f64 {
+    // 2^-53 scaling of the top 53 bits yields a uniform double in [0,1).
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
 fn fill_bytes_from_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
     let mut chunks = dest.chunks_exact_mut(8);
     for chunk in &mut chunks {
@@ -229,14 +253,22 @@ impl StreamFactory {
     /// order of issuance, only on the master seed and the label — useful
     /// when workstations are constructed lazily or in parallel.
     pub fn labeled_stream(&self, component: &str, index: u64) -> Xoshiro256StarStar {
+        Xoshiro256StarStar::new(self.labeled_seed(component, index))
+    }
+
+    /// The seed [`StreamFactory::labeled_stream`] expands for the
+    /// `(component, index)` label, for a caller that needs less of the
+    /// stream than its whole state, such as
+    /// [`Xoshiro256StarStar::first_f64_open`].
+    #[inline]
+    pub fn labeled_seed(&self, component: &str, index: u64) -> u64 {
         let mut h = SplitMix64::new(self.master.state ^ 0xA076_1D64_78BD_642F);
         let mut acc = h.next();
         for &b in component.as_bytes() {
             acc = acc.rotate_left(8) ^ u64::from(b);
             acc = acc.wrapping_mul(0x100_0000_01B3);
         }
-        acc ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Xoshiro256StarStar::new(acc)
+        acc ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 }
 
@@ -373,6 +405,39 @@ mod tests {
         let x = a1.next();
         assert_ne!(x, b.next());
         assert_ne!(x, c.next());
+    }
+
+    #[test]
+    fn labeled_stream_expands_labeled_seed() {
+        let f = StreamFactory::new(9);
+        for (c, i) in [
+            ("ws-discrete", 0),
+            ("ws-discrete", 7 << 32 | 3),
+            ("", u64::MAX),
+        ] {
+            let want = Xoshiro256StarStar::new(f.labeled_seed(c, i));
+            assert_eq!(f.labeled_stream(c, i), want, "({c:?}, {i})");
+        }
+    }
+
+    #[test]
+    fn first_f64_open_is_the_first_open_draw() {
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut seeds = vec![0, 1, u64::MAX];
+        // SplitMix64's state wraps within its first two steps, or is 0
+        // after one or two of them.
+        for k in [1, 2] {
+            for d in [0, 1, u64::MAX] {
+                seeds.push(d.wrapping_sub(GAMMA.wrapping_mul(k)));
+            }
+        }
+        let mut pick = SplitMix64::new(2018);
+        seeds.extend((0..10_000).map(|_| pick.next()));
+        for seed in seeds {
+            let want = Xoshiro256StarStar::new(seed).next_f64_open();
+            let got = Xoshiro256StarStar::first_f64_open(seed);
+            assert_eq!(got.to_bits(), want.to_bits(), "seed {seed:#x}");
+        }
     }
 
     #[test]

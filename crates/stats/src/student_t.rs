@@ -5,6 +5,7 @@
 //! 90/95/99% levels at the paper's df = 19 (20 batches), plus Hill's
 //! asymptotic inversion for arbitrary `(df, p)` pairs.
 
+use crate::error::StatsError;
 use crate::special::inverse_normal_cdf;
 
 /// Upper quantile `t` such that `P(T_df <= t) = p`.
@@ -44,13 +45,29 @@ pub fn t_quantile(df: u32, p: f64) -> f64 {
 }
 
 /// Two-sided critical value for a `confidence` (e.g. 0.90) interval
-/// with `df` degrees of freedom: `t_{df, 1 - alpha/2}`.
+/// with `df` degrees of freedom: `t_{df, 1 - alpha/2}`. Panics on a
+/// `confidence` that [`check_confidence`] rejects.
 pub fn t_critical(df: u32, confidence: f64) -> f64 {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0,1), got {confidence}"
     );
     t_quantile(df, 1.0 - (1.0 - confidence) / 2.0)
+}
+
+/// `Ok` for a confidence level [`t_critical`] accepts, one in `(0, 1)`;
+/// otherwise, NaN included, the [`StatsError::InvalidParameter`] that
+/// names `confidence`.
+pub fn check_confidence(confidence: f64) -> Result<(), StatsError> {
+    if confidence > 0.0 && confidence < 1.0 {
+        Ok(())
+    } else {
+        Err(StatsError::InvalidParameter {
+            name: "confidence",
+            value: confidence,
+            constraint: "must be in (0, 1)",
+        })
+    }
 }
 
 #[cfg(test)]
